@@ -57,6 +57,7 @@ from .ceva import (
     line_value_antisymmetry,
     normalized_line_value,
     opposite_vertex_product,
+    side_factors,
     sides_hit,
 )
 from .circle import (

@@ -6,7 +6,8 @@ consecutive side-lines A_j A_{j+1} for j = i+s .. i+s+t-1 (indices mod
 n); each crossing M_ij contributes the signed ratio M_ij A_j / M_ij
 A_{j+1}.  The product of all n*t ratios is exactly (-1)^n, which this
 module computes and checks with exact rational arithmetic.  The n = 3,
-s = t = 1 case is Ceva's classical theorem.
+s = t = 1 case is Ceva's classical theorem.  Every ratio, here and in
+the inscribed engine, comes from one area-ratio kernel, `side_factors`.
 
 The converse fails: `build_converse_counterexample` constructs, for any
 pentagon in general position, five cevians whose ratio product is -1
@@ -16,27 +17,24 @@ even though the lines are not concurrent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AxisAligned,
-    CoincidentLines,
     DegenerateConfig,
     DivisionByZero,
     DuplicateLines,
     InvariantViolation,
-    ParallelLines,
 )
 from .geometry import (
     Point,
     Line,
     are_concurrent,
-    directed_ratio,
-    intersect_lines,
     line_through,
     point_from_ratio,
+    signed_area2,
 )
 
 
@@ -60,32 +58,14 @@ def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
     return [idx_shift(i, s + d, n) for d in range(t)]
 
 
-def _validate_st(n: int, s: int, t: int) -> None:
+def validate_split(n: int, s: int, t: int) -> None:
+    """Raise InvariantViolation unless n >= 3, s, t >= 1 and 2s + t = n."""
     if n < 3:
         raise InvariantViolation(f"polygon needs at least 3 vertices, got {n}")
     if s < 1 or t < 1:
         raise InvariantViolation(f"s and t must be positive, got s={s}, t={t}")
     if 2 * s + t != n:
         raise InvariantViolation(f"2s + t = n violated: s={s}, t={t}, n={n}")
-
-
-def _cevian_foot(vertices: Sequence[Point], pivot: Point, i: int, j: int) -> Point:
-    """Intersection of line A_i M with side-line A_j A_{j+1}, with the
-    degeneracy checks the ratio at that point needs."""
-    n = len(vertices)
-    a_i = vertices[i - 1]
-    a_j = vertices[j - 1]
-    a_jn = vertices[idx_shift(j, 1, n) - 1]
-    cevian = line_through(a_i, pivot)
-    side = line_through(a_j, a_jn)
-    try:
-        foot = intersect_lines(cevian, side)
-    except (ParallelLines, CoincidentLines) as exc:
-        raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j, str(exc)) from exc
-    if foot == a_j or foot == a_jn:
-        raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
-                               "cevian crossing lands on a side endpoint")
-    return foot
 
 
 @dataclass(frozen=True)
@@ -95,26 +75,26 @@ class CevaConfig:
     Construction validates both the structural invariants (distinct
     vertices, pivot off the vertex set, valid split) and general
     position: every required cevian-side crossing must exist and avoid
-    the side's endpoints.  A valid config therefore makes every ratio in
-    the product well-defined.
+    the side's endpoints.  The n*t ratios are computed once, by that
+    check, and kept in ``factors``.
     """
 
     vertices: tuple[Point, ...]
     pivot: Point
     s: int
     t: int
+    factors: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         n = len(self.vertices)
-        _validate_st(n, self.s, self.t)
+        validate_split(n, self.s, self.t)
         if len(set(self.vertices)) != n:
             raise InvariantViolation("vertices must be pairwise distinct")
         if self.pivot in self.vertices:
             raise InvariantViolation("pivot coincides with a vertex")
-        for i in range(1, n + 1):
-            for j in sides_hit(i, self.s, self.t, n):
-                _cevian_foot(self.vertices, self.pivot, i, j)
+        object.__setattr__(self, "factors", side_factors(
+            self.vertices, [self.pivot] * n, self.s, self.t))
 
     @property
     def n(self) -> int:
@@ -150,14 +130,59 @@ class ProductReport:
                              product == expected)
 
 
+def side_factors(vertices: Sequence[Point], line_points: Iterable[Point],
+                 s: int, t: int) -> tuple[Factor, ...]:
+    """Signed side ratios of every vertex line, by the area principle.
+
+    The line through A_i and P_i (line_points[i-1]) crosses side-line
+    A_j A_{j+1} at M_ij with
+
+        M_ij A_j / M_ij A_{j+1} = [A_i P_i A_j] / [A_i P_i A_{j+1}],
+
+    [.] being signed area: the signed distances of A_j and A_{j+1}
+    from the line scale like their directed distances from M_ij.  Equal
+    areas mean the line is parallel to (or is) the side-line; a zero
+    area means the crossing is a side endpoint.  Both raise
+    DegenerateConfig.  Factors come in vertex order, each vertex's t in
+    sides_hit order, so vertex i's are factors[(i-1)*t : i*t].
+    line_points is consumed in that order, one point per vertex, so a
+    caller may interleave its own per-vertex checks; it may stop early,
+    giving factors for the first vertices only.
+    """
+    n = len(vertices)
+    factors = []
+    for i, p in enumerate(line_points, start=1):
+        a_i = vertices[i - 1]
+        for j in sides_hit(i, s, t, n):
+            near = signed_area2(a_i, p, vertices[j - 1])
+            far = signed_area2(a_i, p, vertices[j % n])
+            if near == far:
+                raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
+                                       "vertex line is parallel to the side-line")
+            if near == 0 or far == 0:
+                raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
+                                       "crossing lands on a side endpoint")
+            factors.append(Factor(i, j, near / far))
+    return tuple(factors)
+
+
+def crossing_point(vertices: Sequence[Point], factor: Factor) -> Point:
+    """The crossing M_ij on side-line A_j A_{j+1} that a factor measures."""
+    j = factor.j
+    return point_from_ratio(vertices[j - 1], vertices[j % len(vertices)],
+                            factor.value)
+
+
 def cevian_intersection(cfg: CevaConfig, i: int, j: int) -> Point:
     """The crossing M_ij of cevian A_i M with side-line A_j A_{j+1}.
 
     j must be one of sides_hit(i, s, t, n).
     """
-    if j not in sides_hit(i, cfg.s, cfg.t, cfg.n):
+    sides = sides_hit(i, cfg.s, cfg.t, cfg.n)
+    if j not in sides:
         raise ValueError(f"side {j} is not crossed by the cevian at vertex {i}")
-    return _cevian_foot(cfg.vertices, cfg.pivot, i, j)
+    return crossing_point(cfg.vertices,
+                          cfg.factors[(i - 1) * cfg.t + sides.index(j)])
 
 
 def ceva_product(cfg: CevaConfig) -> ProductReport:
@@ -165,14 +190,7 @@ def ceva_product(cfg: CevaConfig) -> ProductReport:
 
     Equals (-1)^n exactly for every valid configuration.
     """
-    n = cfg.n
-    factors = []
-    for i in range(1, n + 1):
-        for j in sides_hit(i, cfg.s, cfg.t, n):
-            foot = _cevian_foot(cfg.vertices, cfg.pivot, i, j)
-            value = directed_ratio(foot, cfg.vertex(j), cfg.vertex(j + 1))
-            factors.append(Factor(i, j, value))
-    return ProductReport.from_factors(factors, Fraction(-1) ** n)
+    return ProductReport.from_factors(cfg.factors, Fraction(-1) ** cfg.n)
 
 
 def classic_ceva_product(triangle: Sequence[Point], pivot: Point) -> ProductReport:
@@ -194,7 +212,6 @@ def opposite_vertex_product(polygon: Sequence[Point], pivot: Point) -> ProductRe
     n = len(polygon)
     if n % 2 == 0:
         raise InvariantViolation(f"needs an odd number of vertices, got {n}")
-    _validate_st(n, (n - 1) // 2, 1)
     report = ceva_product(CevaConfig(tuple(polygon), pivot, (n - 1) // 2, 1))
     by_side = sorted(report.factors, key=lambda f: f.j)
     return ProductReport(tuple(by_side), report.product, report.expected,
@@ -271,8 +288,8 @@ class Counterexample:
     concurrent: bool
 
 
-def build_converse_counterexample(pentagon: Sequence[Point], pivot: Point,
-                                  seed: int = 0) -> Counterexample:
+def build_converse_counterexample(pentagon: Sequence[Point],
+                                  pivot: Point) -> Counterexample:
     """Constructively refute the converse of the product identity.
 
     The cevians from A_1, A_2, A_3 through the pivot meet the side-lines
@@ -282,12 +299,8 @@ def build_converse_counterexample(pentagon: Sequence[Point], pivot: Point,
     on line A_2A_3 at ratio -1 or -1/2 respectively.  The five ratios
     multiply to exactly -1 by construction, while A_4 M_1 misses the
     pivot, so the five cevians A_1M_3, A_2M_4, A_3M_5, A_4M_1, A_5M_2
-    cannot share a point.
-
-    The construction is deterministic; ``seed`` is accepted for wire
-    compatibility and reserved for optional perturbation.
+    cannot share a point.  The construction is deterministic.
     """
-    del seed
     if len(pentagon) != 5:
         raise InvariantViolation("counterexample needs exactly 5 vertices")
     vertices = tuple(pentagon)
@@ -299,14 +312,9 @@ def build_converse_counterexample(pentagon: Sequence[Point], pivot: Point,
     def vtx(i: int) -> Point:
         return vertices[(i - 1) % 5]
 
-    # Feet of the three genuine cevians: vertex i cuts side i + 2.
-    feet: dict[int, Point] = {}
-    for i in (1, 2, 3):
-        j = idx_shift(i, 2, 5)
-        feet[j] = _cevian_foot(vertices, pivot, i, j)
-    k_value = Fraction(1)
-    for j in (3, 4, 5):
-        k_value *= directed_ratio(feet[j], vtx(j), vtx(j + 1))
+    # The three genuine cevians: vertex i cuts side i + 2.
+    genuine = side_factors(vertices, [pivot] * 3, 2, 1)
+    k_value = math.prod((f.value for f in genuine), start=Fraction(1))
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot
     # (or the ratio degenerates); then 2/K with the compensating -1/2.
@@ -334,9 +342,8 @@ def build_converse_counterexample(pentagon: Sequence[Point], pivot: Point,
             DegenerateConfig.HITS_VERTEX,
             detail="compensating point coincides with vertex 5")
 
-    meet_points = (m1, m2, feet[3], feet[4], feet[5])
-    ratios = tuple(directed_ratio(meet_points[i - 1], vtx(i), vtx(i + 1))
-                   for i in range(1, 6))
+    meet_points = (m1, m2, *(crossing_point(vertices, f) for f in genuine))
+    ratios = (r1, r2, *(f.value for f in genuine))
     product = math.prod(ratios, start=Fraction(1))
     assert product == -1
 

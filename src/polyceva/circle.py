@@ -20,16 +20,14 @@ plain cevian product and equals (-1)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Union
 
 from .errors import (
-    CoincidentLines,
     DegenerateConfig,
     InvariantViolation,
     NotConcurrent,
-    ParallelLines,
     Tangent,
 )
 from .geometry import (
@@ -37,12 +35,10 @@ from .geometry import (
     Point,
     RationalLike,
     as_rational,
-    directed_ratio,
     distance_squared,
-    intersect_lines,
     line_through,
 )
-from .ceva import Factor, idx_shift, sides_hit, _validate_st
+from .ceva import Factor, idx_shift, side_factors, validate_split
 
 
 def circle_point(u: RationalLike, r: RationalLike) -> Point:
@@ -68,13 +64,19 @@ def second_intersection(line: Line, known: Point, r: RationalLike) -> Point:
         raise ValueError("known point is not on the line")
     if known.x * known.x + known.y * known.y != r * r:
         raise ValueError("known point is not on the circle")
-    # Parametrize as known + t * (-b, a); the quadratic in t has roots
-    # 0 and -2(known . dir)/|dir|^2.
-    dir_x = -line.b
-    dir_y = line.a
+    return _chord_end(known, Point(known.x - line.b, known.y + line.a))
+
+
+def _chord_end(known: Point, through: Point) -> Point:
+    """Second circle point of the secant from the circle point ``known``
+    through ``through``; the circle is centred at the origin."""
+    # Parametrize as known + t * dir; the quadratic in t has roots 0 and
+    # -2(known . dir)/|dir|^2.
+    dir_x = through.x - known.x
+    dir_y = through.y - known.y
     dot = known.x * dir_x + known.y * dir_y
     if dot == 0:
-        raise Tangent(f"line {line} is tangent at {known}")
+        raise Tangent(f"line {line_through(known, through)} is tangent at {known}")
     t = -2 * dot / (dir_x * dir_x + dir_y * dir_y)
     return Point(known.x + t * dir_x, known.y + t * dir_y)
 
@@ -109,7 +111,9 @@ class InscribedConfig:
     tangent).  Construction validates structure and general position:
     every required side crossing exists away from the side's endpoints,
     no d_i is tangent, and no second circle point M'_i lands on a vertex
-    used by the chord ratios.
+    used by the chord ratios.  It keeps what that check computes: the
+    vertices, a second point P_i of each d_i, the M'_i and the n*t side
+    ratios.
     """
 
     radius: Fraction
@@ -117,6 +121,10 @@ class InscribedConfig:
     line_specs: tuple[LineSpec, ...]
     s: int
     t: int
+    vertices: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    line_points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    m_primes: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    factors: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "radius", as_rational(self.radius))
@@ -126,112 +134,78 @@ class InscribedConfig:
         if self.radius <= 0:
             raise InvariantViolation(f"radius must be positive, got {self.radius}")
         n = len(self.params)
-        _validate_st(n, self.s, self.t)
+        validate_split(n, self.s, self.t)
         if any(a >= b for a, b in zip(self.params, self.params[1:])):
             raise InvariantViolation("circle parameters must be strictly increasing")
         if len(self.line_specs) != n:
             raise InvariantViolation(
                 f"need one line spec per vertex, got {len(self.line_specs)}")
+        vertices = tuple(circle_point(u, self.radius) for u in self.params)
+        line_points = []
         for i, spec in enumerate(self.line_specs, start=1):
             if isinstance(spec, SecondParam):
                 if spec.v in self.params:
                     raise InvariantViolation(
                         f"line {i}: second parameter {spec.v} is a vertex parameter")
+                line_points.append(circle_point(spec.v, self.radius))
             elif isinstance(spec, ThroughPoint):
-                if spec.point == circle_point(self.params[i - 1], self.radius):
+                if spec.point == vertices[i - 1]:
                     raise InvariantViolation(
                         f"line {i}: through-point coincides with vertex {i}")
+                line_points.append(spec.point)
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
-        _resolve(self)  # general-position validation
+        m_primes: list[Point] = []
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "line_points", tuple(line_points))
+        object.__setattr__(self, "factors", side_factors(
+            vertices, self._checked_line_points(m_primes), self.s, self.t))
+        object.__setattr__(self, "m_primes", tuple(m_primes))
+
+    def _checked_line_points(self, m_primes: list[Point]) -> Iterator[Point]:
+        """Yield each P_i once M'_i is found and checked, appending it to
+        m_primes; side_factors checks vertex i's sides before asking for
+        P_{i+1}, so every vertex is checked in full before the next."""
+        n = self.n
+        for i, (a_i, p) in enumerate(zip(self.vertices, self.line_points), start=1):
+            if isinstance(self.line_specs[i - 1], SecondParam):
+                m_prime = p
+            else:
+                m_prime = _chord_end(a_i, p)
+            # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
+            # the numerator vertex A_{i+s} must be avoided as well.
+            for k in {idx_shift(i, self.s, n), idx_shift(i, self.s + 1, n),
+                      idx_shift(i, self.s + self.t, n)}:
+                if m_prime == self.vertices[k - 1]:
+                    raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, k,
+                                           "second circle point is a vertex")
+            m_primes.append(m_prime)
+            yield p
 
     @property
     def n(self) -> int:
         return len(self.params)
-
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(circle_point(u, self.radius) for u in self.params)
 
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""
         return self.vertices[(i - 1) % self.n]
 
 
-def _crossing(vertices: Sequence[Point], d_i: Line, i: int, j: int) -> Point:
-    """Crossing of d_i with side-line A_j A_{j+1}, vertex-avoidance checked."""
-    n = len(vertices)
-    a_j = vertices[j - 1]
-    a_jn = vertices[idx_shift(j, 1, n) - 1]
-    side = line_through(a_j, a_jn)
-    try:
-        m = intersect_lines(d_i, side)
-    except (ParallelLines, CoincidentLines) as exc:
-        raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j, str(exc)) from exc
-    if m == a_j or m == a_jn:
-        raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
-                               "crossing lands on a side endpoint")
-    return m
-
-
-def _resolve(cfg: InscribedConfig) -> tuple[tuple[Point, ...], tuple[Line, ...],
-                                            tuple[Point, ...]]:
-    """Vertices, vertex lines d_i, and second circle points M'_i.
-
-    Raises Tangent or DegenerateConfig if the configuration cannot
-    support every ratio the identity needs.
-    """
-    vertices = cfg.vertices
-    n = cfg.n
-    lines: list[Line] = []
-    m_primes: list[Point] = []
-    for i, spec in enumerate(cfg.line_specs, start=1):
-        a_i = vertices[i - 1]
-        if isinstance(spec, SecondParam):
-            other = circle_point(spec.v, cfg.radius)
-            d_i = line_through(a_i, other)
-            m_prime = other
-        else:
-            d_i = line_through(a_i, spec.point)
-            m_prime = second_intersection(d_i, a_i, cfg.radius)
-        # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
-        # the numerator vertex A_{i+s} must be avoided as well.
-        for k in {idx_shift(i, cfg.s, n), idx_shift(i, cfg.s + 1, n),
-                  idx_shift(i, cfg.s + cfg.t, n)}:
-            if m_prime == vertices[k - 1]:
-                raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, k,
-                                       "second circle point is a vertex")
-        for j in sides_hit(i, cfg.s, cfg.t, n):
-            _crossing(vertices, d_i, i, j)
-        lines.append(d_i)
-        m_primes.append(m_prime)
-    return vertices, tuple(lines), tuple(m_primes)
-
-
 def vertex_lines(cfg: InscribedConfig) -> tuple[Line, ...]:
-    """The resolved lines d_1 .. d_n."""
-    return _resolve(cfg)[1]
+    """The lines d_1 .. d_n."""
+    return tuple(line_through(a, p) for a, p in zip(cfg.vertices, cfg.line_points))
 
 
 def second_points(cfg: InscribedConfig) -> tuple[Point, ...]:
     """The second circle points M'_1 .. M'_n."""
-    return _resolve(cfg)[2]
+    return cfg.m_primes
 
 
 def inscribed_side_product(cfg: InscribedConfig) -> tuple[Fraction, list[Factor]]:
     """Signed product of the side ratios at all n*t crossings, with the
     per-crossing factors."""
-    vertices, lines, _ = _resolve(cfg)
-    n = cfg.n
-    factors = []
-    for i in range(1, n + 1):
-        for j in sides_hit(i, cfg.s, cfg.t, n):
-            m = _crossing(vertices, lines[i - 1], i, j)
-            value = directed_ratio(m, vertices[j - 1],
-                                   vertices[idx_shift(j, 1, n) - 1])
-            factors.append(Factor(i, j, value))
-    product = math.prod((f.value for f in factors), start=Fraction(1))
-    return product, factors
+    product = math.prod((f.value for f in cfg.factors), start=Fraction(1))
+    return product, list(cfg.factors)
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
@@ -240,13 +214,13 @@ def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
     This is the square of the chord-ratio product; squared distances
     keep it rational and exact.
     """
-    vertices, _, m_primes = _resolve(cfg)
+    vertices = cfg.vertices
     n = cfg.n
     product = Fraction(1)
     for i in range(1, n + 1):
         near = vertices[idx_shift(i, cfg.s, n) - 1]
         far = vertices[idx_shift(i, cfg.s + cfg.t, n) - 1]
-        mp = m_primes[i - 1]
+        mp = cfg.m_primes[i - 1]
         product *= distance_squared(mp, near) / distance_squared(mp, far)
     return product
 
@@ -262,17 +236,18 @@ def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
             = (|M' A_{i+s}|^2 / |M' A_{i+s+1}|^2)
             * (|A_i A_{i+s}|^2 / |A_i A_{i+s+1}|^2).
 
-    Returns the exact comparison, true for every valid configuration.
+    M is collinear with A_{i+s} and A_{i+s+1}, so the left side is the
+    square of the side factor at M.  Returns the exact comparison, true
+    for every valid configuration.
     """
-    vertices, lines, m_primes = _resolve(cfg)
     n = cfg.n
     j = idx_shift(i, cfg.s, n)  # validates i in 1..n
-    a_i = vertices[i - 1]
-    a_j = vertices[j - 1]
-    a_jn = vertices[idx_shift(j, 1, n) - 1]
-    m = _crossing(vertices, lines[i - 1], i, j)
-    m_prime = m_primes[i - 1]
-    lhs = distance_squared(m, a_j) / distance_squared(m, a_jn)
+    a_i = cfg.vertices[i - 1]
+    a_j = cfg.vertices[j - 1]
+    a_jn = cfg.vertices[idx_shift(j, 1, n) - 1]
+    m_prime = cfg.m_primes[i - 1]
+    ratio = cfg.factors[(i - 1) * cfg.t].value
+    lhs = ratio * ratio
     rhs = (distance_squared(m_prime, a_j) / distance_squared(m_prime, a_jn)) \
         * (distance_squared(a_i, a_j) / distance_squared(a_i, a_jn))
     return lhs == rhs
@@ -313,7 +288,7 @@ def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
     rhs_squared = inscribed_chord_product_squared(cfg)
     return InscribedReport(lhs, lhs * lhs, rhs_squared,
                            lhs * lhs == rhs_squared,
-                           second_points(cfg), tuple(factors))
+                           cfg.m_primes, tuple(factors))
 
 
 def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:

@@ -123,8 +123,7 @@ def _verify_report(parsed) -> dict:
             return inscribed_run_report(parsed, report, Fraction(-1) ** parsed.n)
         return inscribed_run_report(parsed, inscribed_identity_report(parsed), None)
     assert isinstance(parsed, CounterexampleInput)
-    result = build_converse_counterexample(parsed.vertices, parsed.pivot,
-                                           parsed.seed)
+    result = build_converse_counterexample(parsed.vertices, parsed.pivot)
     return counterexample_run_report(result, parsed.seed)
 
 
@@ -140,9 +139,7 @@ def _cmd_counterexample(args, pretty: bool) -> int:
     if not isinstance(parsed, CounterexampleInput):
         raise ConfigError("counterexample subcommand needs a config of "
                           "kind 'counterexample'")
-    result = build_converse_counterexample(parsed.vertices, parsed.pivot,
-                                           parsed.seed)
-    report = counterexample_run_report(result, parsed.seed)
+    report = _verify_report(parsed)
     _emit(report, pretty)
     return 0 if report["holds"] else 1
 
@@ -171,8 +168,7 @@ def _cmd_svg(args) -> int:
     elif isinstance(parsed, InscribedConfig):
         doc = render_inscribed_svg(parsed)
     else:
-        doc = render_counterexample_svg(parsed.vertices, parsed.pivot,
-                                        parsed.seed)
+        doc = render_counterexample_svg(parsed.vertices, parsed.pivot)
     args.out.write_text(doc)
     return 0
 
@@ -204,3 +200,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -32,7 +32,10 @@ from .geometry import Point, format_rational, parse_rational
 
 @dataclass(frozen=True)
 class CounterexampleInput:
-    """Raw ingredients for the pentagon counterexample construction."""
+    """Raw ingredients for the pentagon counterexample construction.
+
+    ``seed`` is echoed in the report; the construction does not use it.
+    """
 
     vertices: tuple[Point, ...]
     pivot: Point
@@ -85,7 +88,9 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers undecodable bytes and integers past
+        # Python's digit limit; RecursionError covers deep nesting.
         raise MalformedJson(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvariantViolation("top level must be a JSON object")

@@ -33,7 +33,11 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?([0-9]+)(?:/([0-9]+))?$")
+
+# Longest numerator or denominator parse_rational accepts, in digits;
+# below Python's own int conversion limit of 4300.
+MAX_DIGITS = 1000
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -50,10 +54,15 @@ def as_rational(value: RationalLike) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p/q" (or "p"), denominator positive.
 
-    Raises InvalidRational for anything else, including "1/0".
+    Digits are ASCII only, at most MAX_DIGITS per part.  Raises
+    InvalidRational for anything else, including "1/0".
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise InvalidRational(f"not a rational string: {text!r}")
+    if any(part and len(part) > MAX_DIGITS for part in match.groups()):
+        raise InvalidRational(
+            f"rational has more than {MAX_DIGITS} digits in a part")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:

@@ -7,13 +7,8 @@ read back from the figure.  Output is deterministic for a fixed config.
 
 from __future__ import annotations
 
-from .ceva import (
-    CevaConfig,
-    build_converse_counterexample,
-    cevian_intersection,
-    sides_hit,
-)
-from .circle import InscribedConfig, _crossing, _resolve
+from .ceva import CevaConfig, build_converse_counterexample, crossing_point
+from .circle import InscribedConfig, vertex_lines
 from .geometry import Line, Point, line_through
 
 
@@ -126,9 +121,7 @@ def _meet_label(i: int, j: int, single: bool) -> str:
 
 
 def render_ceva_svg(cfg: CevaConfig, size: int = 640, margin: int = 40) -> str:
-    feet = [(i, j, cevian_intersection(cfg, i, j))
-            for i in range(1, cfg.n + 1)
-            for j in sides_hit(i, cfg.s, cfg.t, cfg.n)]
+    feet = [(f.i, f.j, crossing_point(cfg.vertices, f)) for f in cfg.factors]
     featured = [*cfg.vertices, cfg.pivot, *(f[2] for f in feet)]
     layout = _Layout([(float(p.x), float(p.y)) for p in featured], size, margin)
     svg = _Svg(layout)
@@ -147,34 +140,31 @@ def render_ceva_svg(cfg: CevaConfig, size: int = 640, margin: int = 40) -> str:
 
 def render_inscribed_svg(cfg: InscribedConfig, size: int = 640,
                          margin: int = 40) -> str:
-    vertices, lines, m_primes = _resolve(cfg)
-    feet = [(i, j, _crossing(vertices, lines[i - 1], i, j))
-            for i in range(1, cfg.n + 1)
-            for j in sides_hit(i, cfg.s, cfg.t, cfg.n)]
+    feet = [(f.i, f.j, crossing_point(cfg.vertices, f)) for f in cfg.factors]
     r = float(cfg.radius)
     featured = [(-r, -r), (r, r)]
     featured += [(float(p.x), float(p.y))
-                 for p in (*vertices, *m_primes, *(f[2] for f in feet))]
+                 for p in (*cfg.vertices, *cfg.m_primes, *(f[2] for f in feet))]
     layout = _Layout(featured, size, margin)
     svg = _Svg(layout)
     svg.circle(r)
-    for line in lines:
+    for line in vertex_lines(cfg):
         svg.line_segment(line, _STYLE["cevian"])
     for i in range(1, cfg.n + 1):
         svg.edge(cfg.vertex(i), cfg.vertex(i + 1), _STYLE["polygon"])
     single = cfg.t == 1
     for i, j, foot in feet:
         svg.dot(foot, _STYLE["meet"], _meet_label(i, j, single))
-    for i, mp in enumerate(m_primes, start=1):
+    for i, mp in enumerate(cfg.m_primes, start=1):
         svg.dot(mp, _STYLE["meet"], f"M&#8242;{i}")
     for i in range(1, cfg.n + 1):
         svg.dot(cfg.vertex(i), _STYLE["vertex"], f"A{i}")
     return svg.document()
 
 
-def render_counterexample_svg(vertices, pivot: Point, seed: int,
-                              size: int = 640, margin: int = 40) -> str:
-    result = build_converse_counterexample(vertices, pivot, seed)
+def render_counterexample_svg(vertices, pivot: Point, size: int = 640,
+                              margin: int = 40) -> str:
+    result = build_converse_counterexample(vertices, pivot)
     featured = [*result.vertices, result.pivot, *result.meet_points]
     layout = _Layout([(float(p.x), float(p.y)) for p in featured], size, margin)
     svg = _Svg(layout)

@@ -1,6 +1,9 @@
 """CLI contract tests: exit codes, report schemas, and SVG output."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,7 +13,8 @@ import pytest
 import polyceva.cli as cli
 from polyceva.ceva import Factor, ProductReport
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 TRIANGLE = CONFIG_DIR / "triangle_centroid.json"
 SQUARE = CONFIG_DIR / "square_pivot.json"
@@ -130,6 +134,20 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, _, _ = run_cli(capsys, "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        b'{"kind": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        TRIANGLE.read_bytes().replace(b'"4/3"', b'"' + b"7" * 5000 + b'"', 1),
+        TRIANGLE.read_bytes().replace(b'"4"', '"\uff14"'.encode(), 1),
+    ], ids=["bad-utf8", "deep-nesting", "5000-digits", "fullwidth-digit"])
+    def test_hostile_input_exits_two(self, capsys, tmp_path, doc):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(doc)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_degenerate_exits_three(self, capsys, tmp_path):
         doc = json.loads(TRIANGLE.read_text())
@@ -276,3 +294,16 @@ class TestSvgCommand:
         code, _, _ = run_cli(capsys, "svg", str(path), "--out",
                              str(tmp_path / "x.svg"))
         assert code == 3
+
+
+@pytest.mark.parametrize("module", ["polyceva", "polyceva.cli"])
+def test_python_m_entry_point(capsys, module):
+    cli.main(["verify", str(TRIANGLE)])
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", module, "verify", str(TRIANGLE)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

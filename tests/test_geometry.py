@@ -22,6 +22,7 @@ from polyceva.geometry import (
     are_concurrent,
     directed_ratio,
     distance_squared,
+    MAX_DIGITS,
     format_rational,
     intersect_lines,
     is_collinear,
@@ -54,6 +55,16 @@ class TestRationalWire:
     def test_rejects(self, bad):
         with pytest.raises(InvalidRational):
             parse_rational(bad)
+
+    def test_rejects_non_ascii_digits(self):
+        with pytest.raises(InvalidRational):
+            parse_rational("\uff14")
+
+    def test_digit_limit(self):
+        assert parse_rational("-" + "9" * MAX_DIGITS + "/1") == -(10 ** MAX_DIGITS - 1)
+        for bad in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
+            with pytest.raises(InvalidRational):
+                parse_rational(bad)
 
     @given(rationals)
     def test_round_trip(self, q):
