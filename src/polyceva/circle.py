@@ -214,14 +214,19 @@ def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
     This is the square of the chord-ratio product; squared distances
     keep it rational and exact.
     """
+    return _chord_ratio_product(cfg, cfg.m_primes)
+
+
+def _chord_ratio_product(cfg: InscribedConfig, apexes) -> Fraction:
+    """Product over i of |P_i A_{i+s}|^2 / |P_i A_{i+s+t}|^2, where P_i is
+    the i-th of ``apexes``."""
     vertices = cfg.vertices
     n = cfg.n
     product = Fraction(1)
-    for i in range(1, n + 1):
+    for i, apex in enumerate(apexes, start=1):
         near = vertices[idx_shift(i, cfg.s, n) - 1]
         far = vertices[idx_shift(i, cfg.s + cfg.t, n) - 1]
-        mp = cfg.m_primes[i - 1]
-        product *= distance_squared(mp, near) / distance_squared(mp, far)
+        product *= distance_squared(apex, near) / distance_squared(apex, far)
     return product
 
 
@@ -259,15 +264,7 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
     Because i+s+t = i-s mod n, every chord appears once in a numerator
     and once in a denominator, so the product is exactly 1.
     """
-    vertices = cfg.vertices
-    n = cfg.n
-    product = Fraction(1)
-    for i in range(1, n + 1):
-        near = vertices[idx_shift(i, cfg.s, n) - 1]
-        far = vertices[idx_shift(i, cfg.s + cfg.t, n) - 1]
-        a_i = vertices[i - 1]
-        product *= distance_squared(a_i, near) / distance_squared(a_i, far)
-    return product
+    return _chord_ratio_product(cfg, cfg.vertices)
 
 
 @dataclass(frozen=True)

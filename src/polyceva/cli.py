@@ -128,15 +128,11 @@ def _verify_report(parsed) -> dict:
 
 
 def _cmd_verify(args, pretty: bool) -> int:
+    """Both ``verify`` and ``counterexample``; the latter takes only
+    counterexample configs."""
     parsed = parse_config(args.config.read_bytes())
-    report = _verify_report(parsed)
-    _emit(report, pretty)
-    return 0 if report["holds"] else 1
-
-
-def _cmd_counterexample(args, pretty: bool) -> int:
-    parsed = parse_config(args.config.read_bytes())
-    if not isinstance(parsed, CounterexampleInput):
+    if (args.command == "counterexample"
+            and not isinstance(parsed, CounterexampleInput)):
         raise ConfigError("counterexample subcommand needs a config of "
                           "kind 'counterexample'")
     report = _verify_report(parsed)
@@ -163,12 +159,16 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_svg(args) -> int:
     parsed = parse_config(args.config.read_bytes())
-    if isinstance(parsed, CevaConfig):
-        doc = render_ceva_svg(parsed)
-    elif isinstance(parsed, InscribedConfig):
-        doc = render_inscribed_svg(parsed)
-    else:
-        doc = render_counterexample_svg(parsed.vertices, parsed.pivot)
+    try:
+        if isinstance(parsed, CevaConfig):
+            doc = render_ceva_svg(parsed)
+        elif isinstance(parsed, InscribedConfig):
+            doc = render_inscribed_svg(parsed)
+        else:
+            doc = render_counterexample_svg(parsed.vertices, parsed.pivot)
+    except OverflowError as exc:
+        # Figures are laid out in floats; the exact checks have no such limit.
+        raise ConfigError(f"coordinates too large to draw: {exc}") from exc
     args.out.write_text(doc)
     return 0
 
@@ -177,17 +177,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     pretty = getattr(args, "pretty", False) and not getattr(args, "force_json", False)
     try:
-        if args.command == "verify":
+        if args.command in ("verify", "counterexample"):
             return _cmd_verify(args, pretty)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args, pretty)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
         return _cmd_svg(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateConfig, Tangent) as exc:

@@ -12,9 +12,11 @@ discriminated by a "kind" field:
     {"kind": "counterexample", "vertices": [[qx, qy]] * 5,
      "M": [qx, qy], "seed": 0}
 
-Parse errors name the offending field; structural invariant failures
-raise InvariantViolation while geometric degeneracy raises
-DegenerateConfig, because the CLI maps them to different exit codes.
+No object may repeat a key, and each kind takes exactly the fields
+listed in _FIELDS.  Parse errors name the offending field; structural
+invariant failures raise InvariantViolation while geometric degeneracy
+raises DegenerateConfig, because the CLI maps them to different exit
+codes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,21 @@ class CounterexampleInput:
 
 
 ParsedConfig = Union[CevaConfig, InscribedConfig, CounterexampleInput]
+
+_FIELDS = {
+    "ceva": {"kind", "vertices", "M", "s", "t"},
+    "inscribed": {"kind", "radius", "params", "lines", "s", "t"},
+    "counterexample": {"kind", "vertices", "M", "seed"},
+}
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InvariantViolation(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _rational(value, where: str) -> Fraction:
@@ -87,7 +104,7 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
     in the builder).
     """
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers undecodable bytes and integers past
         # Python's digit limit; RecursionError covers deep nesting.
@@ -95,6 +112,13 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
     if not isinstance(doc, dict):
         raise InvariantViolation("top level must be a JSON object")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise InvariantViolation(
+            f"kind: expected 'ceva', 'inscribed' or 'counterexample', got {kind!r}")
+    unknown = doc.keys() - _FIELDS[kind]
+    if unknown:
+        raise InvariantViolation(f"unknown field(s) for kind {kind!r}: "
+                                 f"{', '.join(map(repr, sorted(unknown)))}")
     if kind == "ceva":
         return CevaConfig(_points(doc, "vertices"),
                           _point(doc.get("M"), "M"),
@@ -113,15 +137,12 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
                       for i, item in enumerate(doc["lines"]))
         return InscribedConfig(radius, params, specs,
                                _int(doc, "s"), _int(doc, "t"))
-    if kind == "counterexample":
-        vertices = _points(doc, "vertices")
-        if len(vertices) != 5:
-            raise InvariantViolation(
-                f"vertices: counterexample needs exactly 5, got {len(vertices)}")
-        return CounterexampleInput(vertices, _point(doc.get("M"), "M"),
-                                   _int(doc, "seed"))
-    raise InvariantViolation(
-        f"kind: expected 'ceva', 'inscribed' or 'counterexample', got {kind!r}")
+    vertices = _points(doc, "vertices")
+    if len(vertices) != 5:
+        raise InvariantViolation(
+            f"vertices: counterexample needs exactly 5, got {len(vertices)}")
+    return CounterexampleInput(vertices, _point(doc.get("M"), "M"),
+                               _int(doc, "seed"))
 
 
 def _line_spec(item, where: str):

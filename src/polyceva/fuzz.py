@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .ceva import CevaConfig, ceva_product
@@ -89,24 +89,7 @@ class FuzzReport:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials_requested": self.trials_requested,
-            "trials_completed": self.trials_completed,
-            "rejections": self.rejections,
-            "failures": [
-                {
-                    "trial": f.trial,
-                    "seed": f.seed,
-                    "check": f.check,
-                    "expected": f.expected,
-                    "actual": f.actual,
-                    "config": f.config,
-                }
-                for f in self.failures
-            ],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

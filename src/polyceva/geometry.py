@@ -33,7 +33,7 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?([0-9]+)(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 
 # Longest numerator or denominator parse_rational accepts, in digits;
 # below Python's own int conversion limit of 4300.
@@ -57,7 +57,7 @@ def parse_rational(text: str) -> Fraction:
     Digits are ASCII only, at most MAX_DIGITS per part.  Raises
     InvalidRational for anything else, including "1/0".
     """
-    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise InvalidRational(f"not a rational string: {text!r}")
     if any(part and len(part) > MAX_DIGITS for part in match.groups()):

@@ -1,14 +1,18 @@
 """CLI contract tests: exit codes, report schemas, and SVG output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polyceva.cli as cli
 from polyceva.ceva import Factor, ProductReport
@@ -140,7 +144,11 @@ class TestVerify:
         b"[" * 100_000 + b"]" * 100_000,
         TRIANGLE.read_bytes().replace(b'"4/3"', b'"' + b"7" * 5000 + b'"', 1),
         TRIANGLE.read_bytes().replace(b'"4"', '"\uff14"'.encode(), 1),
-    ], ids=["bad-utf8", "deep-nesting", "5000-digits", "fullwidth-digit"])
+        TRIANGLE.read_bytes().replace(b'"4/3"', b'"4/3\\n"', 1),
+        TRIANGLE.read_bytes().replace(b'"M"', b'"M": ["0", "0"], "M"', 1),
+        TRIANGLE.read_bytes().replace(b'"s"', b'"extra": 1, "s"', 1),
+    ], ids=["bad-utf8", "deep-nesting", "5000-digits", "fullwidth-digit",
+            "trailing-newline", "duplicate-key", "unknown-key"])
     def test_hostile_input_exits_two(self, capsys, tmp_path, doc):
         path = tmp_path / "hostile.json"
         path.write_bytes(doc)
@@ -307,3 +315,73 @@ def test_python_m_entry_point(capsys, module):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+GOLDENS = sorted(CONFIG_DIR.glob("*.json"))
+_KEYS = st.sampled_from(["kind", "vertices", "M", "s", "t", "radius", "params",
+                         "lines", "seed", "second_param", "through"])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.floats(allow_nan=False),
+    st.text(max_size=4), _KEYS,
+    st.sampled_from(["0", "1", "-1", "2", "-1/2", "4/3", "1/0", "4\n", "ceva",
+                     "inscribed", "counterexample"]),
+    st.integers(1, 400).map(lambda k: "9" * k),
+    st.integers(1, 400).map(lambda k: "1/" + "9" * k))
+_RATIONALS = st.integers(-4, 4).map(str) | st.sampled_from(["1/2", "-1/3", "4/3", "2/3"])
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_golden(draw) -> bytes:
+    """A golden config with one or two values replaced, deleted or
+    inserted at any depth, or with a byte slice overwritten."""
+    text = draw(st.sampled_from(GOLDENS)).read_bytes()
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 8)))
+        return text[:start] + draw(st.text(max_size=8)).encode() + text[stop:]
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 2))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys)) if keys else None
+            child = node[key] if keys else None
+            if not (isinstance(child, (dict, list)) and child and draw(st.integers(0, 3))):
+                break
+            node = child
+        action = draw(st.sampled_from(["replace", "replace", "delete", "insert"]))
+        if keys and action == "replace":
+            # Swapping one rational for another keeps most documents
+            # well formed, so valid and degenerate geometry are reached.
+            node[key] = draw(_RATIONALS if isinstance(child, str) else _VALUES)
+        elif keys and action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(_KEYS | st.text(max_size=4))] = draw(_VALUES)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(_VALUES))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.binary(max_size=64) | _mutated_golden(),
+       command=st.sampled_from(["verify", "counterexample", "svg"]),
+       pretty=st.booleans())
+# A 401-digit coordinate overflows the figure's float layout.
+@example(doc=TRIANGLE.read_bytes().replace(b'"4"', b'"1' + b"0" * 400 + b'"', 1),
+         command="svg", pretty=False)
+def test_exit_code_contract(doc, command, pretty):
+    """Any document ends in exit 0, 2 or 3, never a traceback or exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(doc)
+        argv = ["--pretty"] * pretty + [command, str(path)]
+        if command == "svg":
+            argv += ["--out", str(Path(tmp) / "figure.svg")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 2, 3)

@@ -51,7 +51,8 @@ class TestRationalWire:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1/-2", "", "1 / 2", None, 3])
+    @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1/-2", "", "1 / 2", None, 3,
+                                     "4\n"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidRational):
             parse_rational(bad)
