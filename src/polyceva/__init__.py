@@ -36,6 +36,7 @@ from .geometry import (
     directed_ratio,
     distance_squared,
     format_rational,
+    homogeneous,
     intersect_lines,
     is_collinear,
     line_through,

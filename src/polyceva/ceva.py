@@ -32,9 +32,9 @@ from .geometry import (
     Point,
     Line,
     are_concurrent,
+    homogeneous,
     line_through,
     point_from_ratio,
-    signed_area2,
 )
 
 
@@ -58,10 +58,19 @@ def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
     return [idx_shift(i, s + d, n) for d in range(t)]
 
 
+# Most vertices a config may have.  A config computes up to n*(n-2) side
+# factors, so the limit bounds the work one input can ask for.
+MAX_VERTICES = 256
+
+
 def validate_split(n: int, s: int, t: int) -> None:
-    """Raise InvariantViolation unless n >= 3, s, t >= 1 and 2s + t = n."""
+    """Raise InvariantViolation unless 3 <= n <= MAX_VERTICES, s, t >= 1
+    and 2s + t = n."""
     if n < 3:
         raise InvariantViolation(f"polygon needs at least 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise InvariantViolation(
+            f"polygon has at most {MAX_VERTICES} vertices, got {n}")
     if s < 1 or t < 1:
         raise InvariantViolation(f"s and t must be positive, got s={s}, t={t}")
     if 2 * s + t != n:
@@ -148,21 +157,37 @@ def side_factors(vertices: Sequence[Point], line_points: Iterable[Point],
     line_points is consumed in that order, one point per vertex, so a
     caller may interleave its own per-vertex checks; it may stop early,
     giving factors for the first vertices only.
+
+    The areas are computed in integers, on homogeneous coordinates: with
+    (X, Y, W) = homogeneous(.), the cross product (a, b, c) of A_i and
+    P_i takes the value a*X_V + b*Y_V + c*W_V = W_A W_P W_V [A_i P_i V]
+    at V, a positive multiple of the area.  Each vertex line is
+    evaluated once at each of the t + 1 endpoints of its sides, and a
+    factor is the one quotient (near * W_far) / (far * W_near).
     """
     n = len(vertices)
+    hom = [homogeneous(v) for v in vertices]
     factors = []
     for i, p in enumerate(line_points, start=1):
-        a_i = vertices[i - 1]
-        for j in sides_hit(i, s, t, n):
-            near = signed_area2(a_i, p, vertices[j - 1])
-            far = signed_area2(a_i, p, vertices[j % n])
-            if near == far:
+        x_a, y_a, w_a = hom[i - 1]
+        x_p, y_p, w_p = homogeneous(p)
+        a = y_a * w_p - w_a * y_p
+        b = w_a * x_p - x_a * w_p
+        c = x_a * y_p - y_a * x_p
+        sides = sides_hit(i, s, t, n)
+        ends = [hom[j - 1] for j in sides] + [hom[sides[-1] % n]]
+        values = [a * x + b * y + c * w for x, y, w in ends]
+        for d, j in enumerate(sides):
+            near, far = values[d], values[d + 1]
+            num = near * ends[d + 1][2]
+            den = far * ends[d][2]
+            if num == den:
                 raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
                                        "vertex line is parallel to the side-line")
             if near == 0 or far == 0:
                 raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
                                        "crossing lands on a side endpoint")
-            factors.append(Factor(i, j, near / far))
+            factors.append(Factor(i, j, Fraction(num, den)))
     return tuple(factors)
 
 

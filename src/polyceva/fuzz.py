@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .ceva import CevaConfig, ceva_product
+from .ceva import MAX_VERTICES, CevaConfig, ceva_product
 from .circle import (
     InscribedConfig,
     SecondParam,
@@ -40,6 +40,7 @@ class GenParams:
 
     coordinate_bound limits both numerators and denominators of every
     drawn rational; max_rejections caps the resampling loop per trial.
+    n_max is at most ceva.MAX_VERTICES, the largest polygon a config takes.
     """
 
     seed: int = 0
@@ -53,6 +54,9 @@ class GenParams:
             raise ValueError(f"n_min must be at least 3, got {self.n_min}")
         if self.n_min > self.n_max:
             raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
+        if self.n_max > MAX_VERTICES:
+            raise ValueError(
+                f"n_max must be at most {MAX_VERTICES}, got {self.n_max}")
         if self.coordinate_bound < 2:
             raise ValueError("coordinate_bound must be at least 2")
         if self.max_rejections < 1:

@@ -13,6 +13,7 @@ plain field comparisons.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,6 +188,15 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 def signed_area2(p: Point, q: Point, r: Point) -> Fraction:
     """Twice the signed area of triangle pqr (positive when ccw)."""
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+
+def homogeneous(p: Point) -> tuple[int, int, int]:
+    """Integer homogeneous coordinates (X, Y, W) of p, with x = X/W,
+    y = Y/W and W > 0 the least common denominator of x and y."""
+    dx = p.x.denominator
+    dy = p.y.denominator
+    w = math.lcm(dx, dy)
+    return p.x.numerator * (w // dx), p.y.numerator * (w // dy), w
 
 
 def is_collinear(p: Point, q: Point, r: Point) -> bool:

@@ -12,6 +12,7 @@ from polyceva.errors import (
     InvariantViolation,
 )
 from polyceva.ceva import (
+    MAX_VERTICES,
     CevaConfig,
     all_sides_product,
     build_converse_counterexample,
@@ -23,6 +24,7 @@ from polyceva.ceva import (
     normalized_line_value,
     opposite_vertex_product,
     sides_hit,
+    validate_split,
 )
 from polyceva.geometry import (
     AffineMap,
@@ -257,6 +259,12 @@ class TestConfigValidation:
     def test_duplicate_vertices(self):
         with pytest.raises(InvariantViolation):
             CevaConfig((pt(0, 0), pt(4, 0), pt(0, 0)), pt(1, 1), 1, 1)
+
+    def test_vertex_limit(self):
+        validate_split(MAX_VERTICES, 1, MAX_VERTICES - 2)
+        polygon = tuple(pt(k, k * k) for k in range(MAX_VERTICES + 1))
+        with pytest.raises(InvariantViolation, match="at most 256 vertices"):
+            CevaConfig(polygon, pt(F(1, 2), F(1, 3)), 128, 1)
 
     def test_pivot_on_vertex(self):
         with pytest.raises(InvariantViolation):

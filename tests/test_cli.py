@@ -147,8 +147,12 @@ class TestVerify:
         TRIANGLE.read_bytes().replace(b'"4/3"', b'"4/3\\n"', 1),
         TRIANGLE.read_bytes().replace(b'"M"', b'"M": ["0", "0"], "M"', 1),
         TRIANGLE.read_bytes().replace(b'"s"', b'"extra": 1, "s"', 1),
+        json.dumps({"kind": "ceva",
+                    "vertices": [[str(k), str(k * k)] for k in range(257)],
+                    "M": ["1/2", "1/3"], "s": 128, "t": 1}).encode(),
     ], ids=["bad-utf8", "deep-nesting", "5000-digits", "fullwidth-digit",
-            "trailing-newline", "duplicate-key", "unknown-key"])
+            "trailing-newline", "duplicate-key", "unknown-key",
+            "257-vertices"])
     def test_hostile_input_exits_two(self, capsys, tmp_path, doc):
         path = tmp_path / "hostile.json"
         path.write_bytes(doc)
@@ -245,6 +249,13 @@ class TestFuzzCommand:
                                "--n-min", "6", "--n-max", "4")
         assert code == 2
         assert err
+
+    def test_n_max_over_vertex_limit(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "1",
+                                 "--n-max", "257")
+        assert code == 2
+        assert out == ""
+        assert "at most 256" in err
 
     def test_bad_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ batch verification reports."""
 
 import pytest
 
-from polyceva.ceva import CevaConfig
+from polyceva.ceva import MAX_VERTICES, CevaConfig
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
@@ -26,10 +26,14 @@ class TestGenParams:
         {"n_min": 6, "n_max": 4},
         {"coordinate_bound": 1},
         {"max_rejections": 0},
+        {"n_max": MAX_VERTICES + 1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             GenParams(**kwargs)
+
+    def test_vertex_limit_accepted(self):
+        assert GenParams(n_max=MAX_VERTICES).n_max == 256
 
 
 class TestGenCeva:

@@ -1,5 +1,6 @@
 """Kernel tests: exact predicates, constructions, and their invariants."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from polyceva.geometry import (
     distance_squared,
     MAX_DIGITS,
     format_rational,
+    homogeneous,
     intersect_lines,
     is_collinear,
     line_through,
@@ -147,6 +149,27 @@ class TestSignedArea:
         area = signed_area2(p, q, r)
         assert signed_area2(q, p, r) == -area
         assert signed_area2(p, r, q) == -area
+
+
+class TestHomogeneous:
+    @pytest.mark.parametrize("p, xyw", [
+        (pt(0, 0), (0, 0, 1)),
+        (pt(F(1, 6), F(-3, 4)), (2, -9, 12)),
+        (pt(F(-5, 3), 7), (-5, 21, 3)),
+        (pt(F(2, 9), F(4, 9)), (2, 4, 9)),
+    ])
+    def test_hand_cases(self, p, xyw):
+        assert homogeneous(p) == xyw
+
+    @given(st.builds(Point, st.fractions(max_denominator=10**40),
+                     st.fractions(max_denominator=10**40)))
+    def test_reconstructs_with_least_positive_w(self, p):
+        x, y, w = homogeneous(p)
+        assert w > 0
+        assert (F(x, w), F(y, w)) == (p.x, p.y)
+        # Every W that clears both denominators is a multiple of the
+        # least one, so W is least iff X, Y and W share no factor.
+        assert math.gcd(x, y, w) == 1
 
 
 class TestCollinear:

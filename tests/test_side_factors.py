@@ -3,7 +3,9 @@
 Raw seeded draws, degenerate ones included, go through both; every
 factor, every DegenerateConfig (reason, i, j) and every Tangent must
 agree.  Draws that fail a structural invariant are skipped: they never
-reach either side-ratio computation.
+reach either side-ratio computation.  Large-operand draws (about 300
+digits per numerator and denominator, n up to 12) check the integer
+scale factors of the kernel, which small bounds can hide.
 """
 
 import random
@@ -15,9 +17,13 @@ import pytest
 from polyceva.ceva import CevaConfig, side_factors
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
-from polyceva.geometry import Point
+from polyceva.geometry import AffineMap, Point, affine_apply
 
 from _exact_oracle import ceva_factors, inscribed_factors
+
+# Parts of about 300 digits: far apart denominators give every point its
+# own homogeneous weight W.
+BIG = 10**300
 
 # Bound 2 draws are cheap and mostly degenerate, so take more of them.
 DRAWS = {2: 600, 10: 200}
@@ -47,16 +53,20 @@ def _outcome(fn, *args):
         return ("tangent", str(exc))
 
 
-def _ceva_draw(rng, bound):
-    n, s, t = _shape(rng, 9)
+def _big_rational(rng):
+    return F(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+
+def _ceva_draw(rng, bound, n_max=9):
+    n, s, t = _shape(rng, n_max)
     return (tuple(_point(rng, bound) for _ in range(n)), _point(rng, bound),
             s, t)
 
 
-def _inscribed_draw(rng, bound, concurrent):
+def _inscribed_draw(rng, bound, concurrent, n_max=7):
     pool = sorted({F(p, q) for p in range(-bound, bound + 1)
                    for q in range(1, bound + 1)})
-    n, s, t = _shape(rng, min(7, len(pool) - 1))
+    n, s, t = _shape(rng, min(n_max, len(pool) - 1))
     radius = F(rng.randint(1, bound), rng.randint(1, bound))
     params = tuple(sorted(rng.sample(pool, n)))
     if concurrent:
@@ -111,3 +121,78 @@ def test_inscribed_kernel_matches_oracle(bound, concurrent):
     assert seen["valid"] > 10
     if bound == 2:  # degeneracy is rare at bound 10
         assert seen["degenerate"] > 0 and seen["tangent"] > 0
+
+
+def _big_ceva_draw(rng, degenerate):
+    """A ceva draw with ~300-digit coordinates.  A degenerate-prone one
+    is a bound-2 draw under a random large affine map, which keeps every
+    parallel and every incidence, so failures reach the kernel too."""
+    if not degenerate:
+        n, s, t = _shape(rng, 12)
+        return (tuple(Point(_big_rational(rng), _big_rational(rng))
+                      for _ in range(n)),
+                Point(_big_rational(rng), _big_rational(rng)), s, t)
+    vertices, pivot, s, t = _ceva_draw(rng, 2, n_max=12)
+    image = AffineMap(*(_big_rational(rng) for _ in range(6)))
+    return (tuple(affine_apply(image, v) for v in vertices),
+            affine_apply(image, pivot), s, t)
+
+
+def _big_inscribed_draw(rng, concurrent, degenerate):
+    """An inscribed draw with ~300-digit coordinates.  A degenerate-prone
+    one is a bound-2 draw scaled about the centre by a large factor,
+    which keeps tangency, parallels and incidences."""
+    if degenerate:
+        radius, params, specs, s, t = _inscribed_draw(rng, 2, concurrent,
+                                                      n_max=12)
+        k = abs(_big_rational(rng))
+        specs = tuple(ThroughPoint(sp.point.scaled(k))
+                      if isinstance(sp, ThroughPoint) else sp for sp in specs)
+        return k * radius, params, specs, s, t
+    n, s, t = _shape(rng, 12)
+    drawn = sorted({_big_rational(rng) for _ in range(2 * n)})
+    params = tuple(sorted(rng.sample(drawn, n)))
+    others = [u for u in drawn if u not in params]
+
+    def through():
+        return ThroughPoint(Point(_big_rational(rng), _big_rational(rng)))
+
+    specs = ((through(),) * n if concurrent else
+             tuple(through() if rng.random() < 0.5
+                   else SecondParam(rng.choice(others)) for _ in range(n)))
+    return abs(_big_rational(rng)), params, specs, s, t
+
+
+def test_ceva_kernel_matches_oracle_large_operands():
+    rng = random.Random("ceva-oracle:big")
+    seen = Counter()
+    for k in range(60):
+        vertices, pivot, s, t = _big_ceva_draw(rng, degenerate=k % 2 == 1)
+        try:
+            kernel = _outcome(lambda: CevaConfig(vertices, pivot, s, t).factors)
+        except InvariantViolation:
+            continue
+        assert kernel == _outcome(ceva_factors, vertices, pivot, s, t)
+        _tally(seen, kernel)
+    assert seen["valid"] > 20 and seen["degenerate"] > 5
+
+
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["inscribed", "concurrent"])
+def test_inscribed_kernel_matches_oracle_large_operands(concurrent):
+    rng = random.Random(f"inscribed-oracle:big:{concurrent}")
+    seen = Counter()
+    for k in range(40):
+        draw = _big_inscribed_draw(rng, concurrent, degenerate=k % 2 == 1)
+
+        def build():
+            cfg = InscribedConfig(*draw)
+            return cfg.factors, cfg.m_primes
+
+        try:
+            kernel = _outcome(build)
+        except InvariantViolation:
+            continue
+        assert kernel == _outcome(inscribed_factors, *draw)
+        _tally(seen, kernel)
+    assert seen["valid"] > 10 and seen["degenerate"] > 0
