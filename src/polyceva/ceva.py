@@ -17,7 +17,6 @@ even though the lines are not concurrent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
     DuplicateLines,
     InvariantViolation,
 )
+from .frozen import Frozen
 from .geometry import (
     Point,
     Line,
@@ -77,33 +77,37 @@ def validate_split(n: int, s: int, t: int) -> None:
         raise InvariantViolation(f"2s + t = n violated: s={s}, t={t}, n={n}")
 
 
-@dataclass(frozen=True)
-class CevaConfig:
+class CevaConfig(Frozen):
     """An n-gon, a pivot, and an (s, t) split with 2s + t = n.
 
     Construction validates both the structural invariants (distinct
     vertices, pivot off the vertex set, valid split) and general
     position: every required cevian-side crossing must exist and avoid
     the side's endpoints.  The n*t ratios are computed once, by that
-    check, and kept in ``factors``.
+    check, and kept in ``factors``, which repr, == and hash leave out.
     """
 
+    _fields = ("vertices", "pivot", "s", "t")
     vertices: tuple[Point, ...]
     pivot: Point
     s: int
     t: int
-    factors: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
+    factors: tuple[Factor, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        n = len(self.vertices)
-        validate_split(n, self.s, self.t)
-        if len(set(self.vertices)) != n:
+    def __init__(self, vertices: Sequence[Point], pivot: Point, s: int, t: int):
+        vertices = tuple(vertices)
+        n = len(vertices)
+        validate_split(n, s, t)
+        if len(set(vertices)) != n:
             raise InvariantViolation("vertices must be pairwise distinct")
-        if self.pivot in self.vertices:
+        if pivot in vertices:
             raise InvariantViolation("pivot coincides with a vertex")
-        object.__setattr__(self, "factors", side_factors(
-            self.vertices, [self.pivot] * n, self.s, self.t))
+        d = self.__dict__
+        d["vertices"] = vertices
+        d["pivot"] = pivot
+        d["s"] = s
+        d["t"] = t
+        d["factors"] = side_factors(vertices, [pivot] * n, s, t)
 
     @property
     def n(self) -> int:
@@ -114,23 +118,37 @@ class CevaConfig:
         return self.vertices[(i - 1) % self.n]
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Frozen):
     """One ratio of the product: cevian vertex i, side j, signed value."""
 
+    _fields = ("i", "j", "value")
     i: int
     j: int
     value: Fraction
 
+    def __init__(self, i: int, j: int, value: Fraction):
+        d = self.__dict__
+        d["i"] = i
+        d["j"] = j
+        d["value"] = value
 
-@dataclass(frozen=True)
-class ProductReport:
+
+class ProductReport(Frozen):
     """Factored product with its expected value and the exact verdict."""
 
+    _fields = ("factors", "product", "expected", "holds")
     factors: tuple[Factor, ...]
     product: Fraction
     expected: Fraction
     holds: bool
+
+    def __init__(self, factors: tuple[Factor, ...], product: Fraction,
+                 expected: Fraction, holds: bool):
+        d = self.__dict__
+        d["factors"] = factors
+        d["product"] = product
+        d["expected"] = expected
+        d["holds"] = holds
 
     @staticmethod
     def from_factors(factors: Sequence[Factor], expected: Fraction) -> "ProductReport":
@@ -294,14 +312,15 @@ def line_value_antisymmetry(cfg: CevaConfig, r: int, q: int) -> bool:
     return d_rq / d_qr == -p_r / p_q
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Frozen):
     """Five cevians of a pentagon with ratio product -1 yet not concurrent.
 
     meet_points[i-1] is M_i on side-line A_i A_{i+1} and ratios[i-1] its
     signed ratio; cevians[i-1] is the line drawn through vertex A_i.
     """
 
+    _fields = ("vertices", "pivot", "cevians", "meet_points", "ratios", "K",
+               "branch", "product", "concurrent")
     vertices: tuple[Point, ...]
     pivot: Point
     cevians: tuple[Line, ...]
@@ -311,6 +330,14 @@ class Counterexample:
     branch: str
     product: Fraction
     concurrent: bool
+
+    def __init__(self, vertices: tuple[Point, ...], pivot: Point,
+                 cevians: tuple[Line, ...], meet_points: tuple[Point, ...],
+                 ratios: tuple[Fraction, ...], K: Fraction, branch: str,
+                 product: Fraction, concurrent: bool):
+        self.__dict__.update(zip(self._fields, (
+            vertices, pivot, cevians, meet_points, ratios, K, branch, product,
+            concurrent)))
 
 
 def build_converse_counterexample(pentagon: Sequence[Point],

@@ -20,9 +20,8 @@ plain cevian product and equals (-1)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     DegenerateConfig,
@@ -30,6 +29,7 @@ from .errors import (
     NotConcurrent,
     Tangent,
 )
+from .frozen import Frozen
 from .geometry import (
     Line,
     Point,
@@ -81,29 +81,31 @@ def _chord_end(known: Point, through: Point) -> Point:
     return Point(known.x + t * dir_x, known.y + t * dir_y)
 
 
-@dataclass(frozen=True)
-class SecondParam:
+class SecondParam(Frozen):
     """Vertex line given by a second circle parameter: d_i joins A_i to
     the circle point of parameter v."""
 
+    _fields = ("v",)
     v: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", as_rational(self.v))
+    def __init__(self, v: RationalLike):
+        self.__dict__["v"] = as_rational(v)
 
 
-@dataclass(frozen=True)
-class ThroughPoint:
+class ThroughPoint(Frozen):
     """Vertex line given by an arbitrary second point off the vertex."""
 
+    _fields = ("point",)
     point: Point
+
+    def __init__(self, point: Point):
+        self.__dict__["point"] = point
 
 
 LineSpec = Union[SecondParam, ThroughPoint]
 
 
-@dataclass(frozen=True)
-class InscribedConfig:
+class InscribedConfig(Frozen):
     """Inscribed n-gon with one line per vertex and an (s, t) split.
 
     params must be strictly increasing, which orders the vertices by
@@ -113,41 +115,48 @@ class InscribedConfig:
     no d_i is tangent, and no second circle point M'_i lands on a vertex
     used by the chord ratios.  It keeps what that check computes: the
     vertices, a second point P_i of each d_i, the M'_i and the n*t side
-    ratios.
+    ratios, which repr, == and hash leave out.
     """
 
+    _fields = ("radius", "params", "line_specs", "s", "t")
     radius: Fraction
     params: tuple[Fraction, ...]
     line_specs: tuple[LineSpec, ...]
     s: int
     t: int
-    vertices: tuple[Point, ...] = field(init=False, repr=False, compare=False)
-    line_points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
-    m_primes: tuple[Point, ...] = field(init=False, repr=False, compare=False)
-    factors: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
+    vertices: tuple[Point, ...]
+    line_points: tuple[Point, ...]
+    m_primes: tuple[Point, ...]
+    factors: tuple[Factor, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", as_rational(self.radius))
-        object.__setattr__(self, "params",
-                           tuple(as_rational(u) for u in self.params))
-        object.__setattr__(self, "line_specs", tuple(self.line_specs))
-        if self.radius <= 0:
-            raise InvariantViolation(f"radius must be positive, got {self.radius}")
-        n = len(self.params)
-        validate_split(n, self.s, self.t)
-        if any(a >= b for a, b in zip(self.params, self.params[1:])):
+    def __init__(self, radius: RationalLike, params: Sequence[RationalLike],
+                 line_specs: Sequence[LineSpec], s: int, t: int):
+        radius = as_rational(radius)
+        params = tuple(as_rational(u) for u in params)
+        line_specs = tuple(line_specs)
+        d = self.__dict__
+        d["radius"] = radius
+        d["params"] = params
+        d["line_specs"] = line_specs
+        d["s"] = s
+        d["t"] = t
+        if radius <= 0:
+            raise InvariantViolation(f"radius must be positive, got {radius}")
+        n = len(params)
+        validate_split(n, s, t)
+        if any(a >= b for a, b in zip(params, params[1:])):
             raise InvariantViolation("circle parameters must be strictly increasing")
-        if len(self.line_specs) != n:
+        if len(line_specs) != n:
             raise InvariantViolation(
-                f"need one line spec per vertex, got {len(self.line_specs)}")
-        vertices = tuple(circle_point(u, self.radius) for u in self.params)
+                f"need one line spec per vertex, got {len(line_specs)}")
+        vertices = tuple(circle_point(u, radius) for u in params)
         line_points = []
-        for i, spec in enumerate(self.line_specs, start=1):
+        for i, spec in enumerate(line_specs, start=1):
             if isinstance(spec, SecondParam):
-                if spec.v in self.params:
+                if spec.v in params:
                     raise InvariantViolation(
                         f"line {i}: second parameter {spec.v} is a vertex parameter")
-                line_points.append(circle_point(spec.v, self.radius))
+                line_points.append(circle_point(spec.v, radius))
             elif isinstance(spec, ThroughPoint):
                 if spec.point == vertices[i - 1]:
                     raise InvariantViolation(
@@ -156,11 +165,11 @@ class InscribedConfig:
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
         m_primes: list[Point] = []
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "line_points", tuple(line_points))
-        object.__setattr__(self, "factors", side_factors(
-            vertices, self._checked_line_points(m_primes), self.s, self.t))
-        object.__setattr__(self, "m_primes", tuple(m_primes))
+        d["vertices"] = vertices
+        d["line_points"] = tuple(line_points)
+        d["factors"] = side_factors(
+            vertices, self._checked_line_points(m_primes), s, t)
+        d["m_primes"] = tuple(m_primes)
 
     def _checked_line_points(self, m_primes: list[Point]) -> Iterator[Point]:
         """Yield each P_i once M'_i is found and checked, appending it to
@@ -267,16 +276,23 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
     return _chord_ratio_product(cfg, cfg.vertices)
 
 
-@dataclass(frozen=True)
-class InscribedReport:
+class InscribedReport(Frozen):
     """Both sides of the squared identity plus the raw signed product."""
 
+    _fields = ("lhs", "lhs_squared", "rhs_squared", "holds", "m_prime_points",
+               "factors")
     lhs: Fraction
     lhs_squared: Fraction
     rhs_squared: Fraction
     holds: bool
     m_prime_points: tuple[Point, ...]
     factors: tuple[Factor, ...]
+
+    def __init__(self, lhs: Fraction, lhs_squared: Fraction,
+                 rhs_squared: Fraction, holds: bool,
+                 m_prime_points: tuple[Point, ...], factors: tuple[Factor, ...]):
+        self.__dict__.update(zip(self._fields, (
+            lhs, lhs_squared, rhs_squared, holds, m_prime_points, factors)))
 
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:

@@ -6,6 +6,7 @@ Subcommands: verify, counterexample, fuzz, svg.  Exit codes:
     1  the identity was computed and fails (kernel bug sentinel)
     2  input error (bad JSON, bad rational, structural invariant, flags)
     3  degenerate configuration (parallel/tangent/vertex collision)
+    4  internal error (an unexpected exception; a one-line message)
 
 Machine-readable JSON is the default output; --pretty renders an
 aligned factor table instead.
@@ -14,6 +15,7 @@ aligned factor table instead.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from fractions import Fraction
@@ -34,12 +36,31 @@ from .configio import (
     parse_config,
 )
 from .errors import ConfigError, DegenerateConfig, GeometryError, Tangent
-from .fuzz import GenParams, fuzz_ceva, fuzz_inscribed
-from .svgout import (
-    render_ceva_svg,
-    render_counterexample_svg,
-    render_inscribed_svg,
-)
+
+# Names of the modules only some subcommands use, imported on first use
+# (``verify`` needs neither).  Commands look them up on this module, so
+# a name set on it, e.g. by a tracer, is the one that runs.
+_LAZY = {
+    "GenParams": "fuzz",
+    "fuzz_ceva": "fuzz",
+    "fuzz_inscribed": "fuzz",
+    "render_ceva_svg": "svgout",
+    "render_counterexample_svg": "svgout",
+    "render_inscribed_svg": "svgout",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name: str):
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,17 +163,18 @@ def _cmd_verify(args, pretty: bool) -> int:
 
 def _cmd_fuzz(args) -> int:
     try:
-        params = GenParams(seed=args.seed, n_min=args.n_min, n_max=args.n_max,
-                           coordinate_bound=args.bound)
+        params = _lazy("GenParams")(
+            seed=args.seed, n_min=args.n_min, n_max=args.n_max,
+            coordinate_bound=args.bound)
         if args.trials < 0:
             raise ValueError("--trials must be nonnegative")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.kind == "ceva":
-        report = fuzz_ceva(params, args.trials)
+        report = _lazy("fuzz_ceva")(params, args.trials)
     else:
-        report = fuzz_inscribed(params, args.trials,
-                                concurrent=args.kind == "concurrent")
+        report = _lazy("fuzz_inscribed")(params, args.trials,
+                                         concurrent=args.kind == "concurrent")
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if not report.failures else 1
 
@@ -161,11 +183,12 @@ def _cmd_svg(args) -> int:
     parsed = parse_config(args.config.read_bytes())
     try:
         if isinstance(parsed, CevaConfig):
-            doc = render_ceva_svg(parsed)
+            doc = _lazy("render_ceva_svg")(parsed)
         elif isinstance(parsed, InscribedConfig):
-            doc = render_inscribed_svg(parsed)
+            doc = _lazy("render_inscribed_svg")(parsed)
         else:
-            doc = render_counterexample_svg(parsed.vertices, parsed.pivot)
+            doc = _lazy("render_counterexample_svg")(parsed.vertices,
+                                                     parsed.pivot)
     except OverflowError as exc:
         # Figures are laid out in floats; the exact checks have no such limit.
         raise ConfigError(f"coordinates too large to draw: {exc}") from exc
@@ -191,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # A bug, not a verdict: exit 1 would read as a falsified identity.
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

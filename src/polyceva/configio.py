@@ -22,27 +22,41 @@ codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .ceva import CevaConfig, Counterexample, ProductReport
 from .circle import InscribedConfig, InscribedReport, SecondParam, ThroughPoint
 from .errors import InvalidRational, InvariantViolation, MalformedJson
+from .frozen import Frozen
 from .geometry import Point, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class CounterexampleInput:
+class CounterexampleInput(Frozen):
     """Raw ingredients for the pentagon counterexample construction.
 
     ``seed`` is echoed in the report; the construction does not use it.
     """
 
+    _fields = ("vertices", "pivot", "seed")
     vertices: tuple[Point, ...]
     pivot: Point
     seed: int
 
+    def __init__(self, vertices: tuple[Point, ...], pivot: Point, seed: int):
+        d = self.__dict__
+        d["vertices"] = vertices
+        d["pivot"] = pivot
+        d["seed"] = seed
+
+
+# Most work one config may ask of the kernel, in side factors times
+# (B + 120)^2, B being the bit length of its largest operand: a factor's
+# exact products cost about B^2, and its fixed overhead about as much as
+# 120 more bits.  MAX_VERTICES and MAX_DIGITS alone admit inputs that run
+# for minutes; at this limit a ceva config verifies in 1.0-1.5 s (2-core
+# x86-64 VM, Python 3.11.7), an inscribed one in at most that.
+MAX_WORK = 1_200_000_000
 
 ParsedConfig = Union[CevaConfig, InscribedConfig, CounterexampleInput]
 
@@ -96,6 +110,24 @@ def _points(doc: dict, key: str) -> tuple[Point, ...]:
     return tuple(_point(p, f"{key}[{i}]") for i, p in enumerate(value))
 
 
+def _bits(*values: Fraction) -> int:
+    """Largest bit length among the numerators and denominators."""
+    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
+                for v in values), default=0)
+
+
+def _check_work(n: int, t: int, bits: int) -> None:
+    """Raise InvariantViolation when the n*t side factors of a config
+    whose largest operand has ``bits`` bits would cost over MAX_WORK."""
+    # Any other t is an invalid split, which the constructor reports.
+    factors = n * t if 0 < t < n else 0
+    work = factors * (bits + 120) ** 2
+    if work > MAX_WORK:
+        raise InvariantViolation(
+            f"config needs {work} units of work ({factors} factors with "
+            f"{bits}-bit operands), over the limit of {MAX_WORK}")
+
+
 def parse_config(data: Union[bytes, str]) -> ParsedConfig:
     """Parse and validate a config document.
 
@@ -120,9 +152,12 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         raise InvariantViolation(f"unknown field(s) for kind {kind!r}: "
                                  f"{', '.join(map(repr, sorted(unknown)))}")
     if kind == "ceva":
-        return CevaConfig(_points(doc, "vertices"),
-                          _point(doc.get("M"), "M"),
-                          _int(doc, "s"), _int(doc, "t"))
+        vertices = _points(doc, "vertices")
+        pivot = _point(doc.get("M"), "M")
+        s, t = _int(doc, "s"), _int(doc, "t")
+        _check_work(len(vertices), t,
+                    _bits(*(c for p in (*vertices, pivot) for c in (p.x, p.y))))
+        return CevaConfig(vertices, pivot, s, t)
     if kind == "inscribed":
         if "radius" not in doc:
             raise InvariantViolation("missing field 'radius'")
@@ -135,8 +170,17 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
             raise InvariantViolation("lines: expected a list of line specs")
         specs = tuple(_line_spec(item, f"lines[{i}]")
                       for i, item in enumerate(doc["lines"]))
-        return InscribedConfig(radius, params, specs,
-                               _int(doc, "s"), _int(doc, "t"))
+        s, t = _int(doc, "s"), _int(doc, "t")
+        # A circle point of parameter p/q on radius a/b has parts
+        # a(q^2 - p^2), 2apq and b(q^2 + p^2).
+        circle_bits = 2 * _bits(*params, *(spec.v for spec in specs
+                                          if isinstance(spec, SecondParam)))
+        through_bits = _bits(*(c for spec in specs
+                               if isinstance(spec, ThroughPoint)
+                               for c in (spec.point.x, spec.point.y)))
+        _check_work(len(params), t,
+                    max(circle_bits + _bits(radius), through_bits))
+        return InscribedConfig(radius, params, specs, s, t)
     vertices = _points(doc, "vertices")
     if len(vertices) != 5:
         raise InvariantViolation(

@@ -9,9 +9,9 @@ configuration.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .ceva import MAX_VERTICES, CevaConfig, ceva_product
@@ -31,42 +31,59 @@ from .errors import (
     InvariantViolation,
     Tangent,
 )
-from .geometry import Point, format_rational
+from .frozen import Frozen
+from .geometry import MAX_DIGITS, Point, format_rational
 
 
-@dataclass(frozen=True)
-class GenParams:
+# Largest coordinate_bound: drawn parts then have at most MAX_DIGITS
+# digits, so `verify` can parse every config a failure reports.
+MAX_BOUND = 10 ** MAX_DIGITS - 1
+
+
+class GenParams(Frozen):
     """Knobs for the random generators.
 
     coordinate_bound limits both numerators and denominators of every
-    drawn rational; max_rejections caps the resampling loop per trial.
-    n_max is at most ceva.MAX_VERTICES, the largest polygon a config takes.
+    drawn rational, and is at most MAX_BOUND; max_rejections caps the
+    resampling loop per trial.  n_max is at most ceva.MAX_VERTICES, the
+    largest polygon a config takes.
     """
 
-    seed: int = 0
-    n_min: int = 3
-    n_max: int = 7
-    coordinate_bound: int = 10
-    max_rejections: int = 2000
+    _fields = ("seed", "n_min", "n_max", "coordinate_bound", "max_rejections")
+    seed: int
+    n_min: int
+    n_max: int
+    coordinate_bound: int
+    max_rejections: int
 
-    def __post_init__(self):
-        if self.n_min < 3:
-            raise ValueError(f"n_min must be at least 3, got {self.n_min}")
-        if self.n_min > self.n_max:
-            raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
-        if self.n_max > MAX_VERTICES:
+    def __init__(self, seed: int = 0, n_min: int = 3, n_max: int = 7,
+                 coordinate_bound: int = 10, max_rejections: int = 2000):
+        if n_min < 3:
+            raise ValueError(f"n_min must be at least 3, got {n_min}")
+        if n_min > n_max:
+            raise ValueError(f"n_min {n_min} exceeds n_max {n_max}")
+        if n_max > MAX_VERTICES:
             raise ValueError(
-                f"n_max must be at most {MAX_VERTICES}, got {self.n_max}")
-        if self.coordinate_bound < 2:
+                f"n_max must be at most {MAX_VERTICES}, got {n_max}")
+        if coordinate_bound < 2:
             raise ValueError("coordinate_bound must be at least 2")
-        if self.max_rejections < 1:
+        if coordinate_bound > MAX_BOUND:
+            raise ValueError(
+                f"coordinate_bound must have at most {MAX_DIGITS} digits")
+        if max_rejections < 1:
             raise ValueError("max_rejections must be positive")
+        d = self.__dict__
+        d["seed"] = seed
+        d["n_min"] = n_min
+        d["n_max"] = n_max
+        d["coordinate_bound"] = coordinate_bound
+        d["max_rejections"] = max_rejections
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(Frozen):
     """One falsified identity, with enough context to reproduce it."""
 
+    _fields = ("trial", "seed", "check", "expected", "actual", "config")
     trial: int
     seed: int
     check: str
@@ -74,9 +91,19 @@ class FuzzFailure:
     actual: str
     config: dict
 
+    def __init__(self, trial: int, seed: int, check: str, expected: str,
+                 actual: str, config: dict):
+        self.__dict__.update(zip(self._fields, (
+            trial, seed, check, expected, actual, config)))
 
-@dataclass
-class FuzzReport:
+    def to_dict(self) -> dict:
+        """The fields as a plain dict; ``config`` is a deep copy."""
+        return {"trial": self.trial, "seed": self.seed, "check": self.check,
+                "expected": self.expected, "actual": self.actual,
+                "config": copy.deepcopy(self.config)}
+
+
+class FuzzReport(Frozen):
     """Outcome of a batch of trials.
 
     failures is empty iff every completed trial satisfied its identity
@@ -85,15 +112,37 @@ class FuzzReport:
     do not count as completed).
     """
 
+    _fields = ("kind", "trials_requested", "trials_completed", "rejections",
+               "failures", "elapsed_seconds")
     kind: str
     trials_requested: int
     trials_completed: int
     rejections: int
-    failures: list[FuzzFailure] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    failures: list[FuzzFailure]
+    elapsed_seconds: float
+
+    # A report is filled in while its trials run: unlike the other value
+    # classes it is mutable, and so unhashable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, kind: str, trials_requested: int, trials_completed: int,
+                 rejections: int, failures: list[FuzzFailure] | None = None,
+                 elapsed_seconds: float = 0.0):
+        self.kind = kind
+        self.trials_requested = trials_requested
+        self.trials_completed = trials_completed
+        self.rejections = rejections
+        self.failures = [] if failures is None else failures
+        self.elapsed_seconds = elapsed_seconds
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"kind": self.kind, "trials_requested": self.trials_requested,
+                "trials_completed": self.trials_completed,
+                "rejections": self.rejections,
+                "failures": [f.to_dict() for f in self.failures],
+                "elapsed_seconds": self.elapsed_seconds}
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

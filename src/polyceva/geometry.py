@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -28,6 +27,7 @@ from .errors import (
     NotCollinear,
     ParallelLines,
 )
+from .frozen import Frozen
 
 # The universal scalar type of the kernel.
 Rational = Fraction
@@ -79,16 +79,17 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Exact point in the plane."""
 
+    _fields = ("x", "y")
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+    def __init__(self, x: RationalLike, y: RationalLike):
+        d = self.__dict__
+        d["x"] = as_rational(x)
+        d["y"] = as_rational(y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -101,31 +102,32 @@ class Point:
         return Point(self.x * k, self.y * k)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Frozen):
     """Line a*x + b*y + c = 0, canonicalized on construction.
 
     The first nonzero coefficient among (a, b) is forced to +1, so two
     Line values describe the same locus iff they are equal as tuples.
     """
 
+    _fields = ("a", "b", "c")
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self):
-        a = as_rational(self.a)
-        b = as_rational(self.b)
-        c = as_rational(self.c)
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike):
+        a = as_rational(a)
+        b = as_rational(b)
+        c = as_rational(c)
         if a != 0:
             b, c, a = b / a, c / a, Fraction(1)
         elif b != 0:
             c, b = c / b, Fraction(1)
         else:
             raise ValueError("degenerate line: a = b = 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["c"] = c
 
     def value_at(self, p: Point) -> Fraction:
         """Exact value of a*x + b*y + c at p; zero iff p lies on the line."""
@@ -139,10 +141,10 @@ class Line:
         return self.a * other.b - other.a * self.b == 0
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """Invertible affine transform (x, y) -> (m11 x + m12 y + tx, m21 x + m22 y + ty)."""
 
+    _fields = ("m11", "m12", "m21", "m22", "tx", "ty")
     m11: Fraction
     m12: Fraction
     m21: Fraction
@@ -150,9 +152,10 @@ class AffineMap:
     tx: Fraction
     ty: Fraction
 
-    def __post_init__(self):
-        for name in ("m11", "m12", "m21", "m22", "tx", "ty"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def __init__(self, m11: RationalLike, m12: RationalLike, m21: RationalLike,
+                 m22: RationalLike, tx: RationalLike, ty: RationalLike):
+        self.__dict__.update(zip(self._fields, map(
+            as_rational, (m11, m12, m21, m22, tx, ty))))
         if self.m11 * self.m22 - self.m12 * self.m21 == 0:
             raise ValueError("affine map is not invertible (zero determinant)")
 

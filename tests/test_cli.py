@@ -181,6 +181,18 @@ class TestVerify:
         assert json.loads(out)["holds"] is False
 
 
+    def test_internal_error_exits_four(self, capsys, monkeypatch):
+        """An unexpected exception is a bug, not a verdict: exit 4 and one
+        line on stderr, never exit 1 or a traceback."""
+        def broken(cfg):
+            raise RuntimeError("kernel fault\nsecond line")
+        monkeypatch.setattr(cli, "ceva_product", broken)
+        code, out, err = run_cli(capsys, "verify", str(TRIANGLE))
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError('kernel fault\\nsecond line')\n"
+
+
 class TestCounterexampleCommand:
     def test_golden(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", str(COUNTEREXAMPLE))
@@ -256,6 +268,15 @@ class TestFuzzCommand:
         assert code == 2
         assert out == ""
         assert "at most 256" in err
+
+    @pytest.mark.parametrize("bound, exit_code", [
+        (10 ** 1000 - 1, 0), (10 ** 1000, 2)])
+    def test_bound_limit(self, capsys, bound, exit_code):
+        """A larger bound could draw parts that verify cannot parse."""
+        code, _, err = run_cli(capsys, "fuzz", "--trials", "0",
+                               "--bound", str(bound))
+        assert code == exit_code
+        assert ("at most 1000 digits" in err) == (exit_code == 2)
 
     def test_bad_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

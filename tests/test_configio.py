@@ -1,12 +1,17 @@
 """Config file parsing, validation errors, and round-trip serialization."""
 
 import json
+import math
 
 import pytest
 
+import polyceva.ceva
+import polyceva.circle
+import polyceva.configio
 from polyceva.ceva import CevaConfig
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.configio import (
+    MAX_WORK,
     CounterexampleInput,
     config_to_dict,
     parse_config,
@@ -200,3 +205,68 @@ class TestRoundTrip:
         doc = dict(TRIANGLE_DOC, M=["8/6", "4/3"])
         cfg = parse_config(dumps(doc))
         assert config_to_dict(cfg)["M"] == ["4/3", "4/3"]
+
+
+def _largest_bits(factors: int) -> int:
+    """Largest operand bit length MAX_WORK admits for a config with this
+    many side factors: factors * (bits + 120)^2 <= MAX_WORK."""
+    return math.isqrt(MAX_WORK // factors) - 120
+
+
+class TestWorkBudget:
+    """A 40-gon with s = 1 has 40 * 38 side factors.  Inputs just under
+    the budget only reach the constructor, stubbed out: a real check
+    there takes about a second."""
+
+    N = 40
+    BITS = _largest_bits(40 * 38)
+
+    def ceva_doc(self, bits: int) -> str:
+        """Largest operand: a denominator of exactly ``bits`` bits."""
+        vertices = [[str(k), str(k * k)] for k in range(self.N)]
+        vertices[7][1] = f"1/{2 ** (bits - 1)}"
+        return dumps({"kind": "ceva", "vertices": vertices, "M": ["1/2", "-1"],
+                      "s": 1, "t": self.N - 2})
+
+    def inscribed_doc(self, bits: int) -> str:
+        """Largest operand: bits or bits + 1 bits.  A circle point of
+        parameter u on radius 1 has parts of up to 2 * bits(u) + 1 bits."""
+        params = [str(k) for k in range(self.N)]
+        params[-1] = str(2 ** (bits // 2 - 1))
+        return dumps({"kind": "inscribed", "radius": "1", "params": params,
+                      "lines": [{"through": ["1/3", "1/5"]}] * self.N,
+                      "s": 1, "t": self.N - 2})
+
+    def test_boundary(self):
+        assert self.N * (self.N - 2) * (self.BITS + 120) ** 2 <= MAX_WORK
+        assert self.N * (self.N - 2) * (self.BITS + 121) ** 2 > MAX_WORK
+
+    @pytest.mark.parametrize("make", ["ceva_doc", "inscribed_doc"])
+    def test_over_budget_rejected_before_the_kernel(self, monkeypatch, make):
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+        monkeypatch.setattr(polyceva.ceva, "side_factors", kernel)
+        monkeypatch.setattr(polyceva.circle, "side_factors", kernel)
+        doc = getattr(self, make)(self.BITS + 1)
+        with pytest.raises(InvariantViolation, match=f"over the limit of {MAX_WORK}"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("make, bits, constructor", [
+        ("ceva_doc", 0, "CevaConfig"),
+        ("inscribed_doc", -1, "InscribedConfig"),
+    ])
+    def test_under_budget_reaches_the_constructor(self, monkeypatch, make, bits,
+                                                  constructor):
+        built = []
+        monkeypatch.setattr(polyceva.configio, constructor,
+                            lambda *args: built.append(args) or "built")
+        assert parse_config(getattr(self, make)(self.BITS + bits)) == "built"
+        assert len(built) == 1
+
+    def test_message_names_estimate_and_limit(self):
+        with pytest.raises(InvariantViolation) as exc:
+            parse_config(self.ceva_doc(self.BITS + 1))
+        work = 1520 * (self.BITS + 121) ** 2
+        assert str(exc.value) == (
+            f"config needs {work} units of work (1520 factors with "
+            f"{self.BITS + 1}-bit operands), over the limit of {MAX_WORK}")

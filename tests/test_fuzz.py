@@ -7,6 +7,7 @@ from polyceva.ceva import MAX_VERTICES, CevaConfig
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
+    MAX_BOUND,
     FuzzReport,
     GenParams,
     fuzz_ceva,
@@ -27,6 +28,7 @@ class TestGenParams:
         {"coordinate_bound": 1},
         {"max_rejections": 0},
         {"n_max": MAX_VERTICES + 1},
+        {"coordinate_bound": MAX_BOUND + 1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -34,6 +36,12 @@ class TestGenParams:
 
     def test_vertex_limit_accepted(self):
         assert GenParams(n_max=MAX_VERTICES).n_max == 256
+
+    def test_bound_limit_accepted(self):
+        """Parts drawn at the largest bound still parse: they have at
+        most MAX_DIGITS (1000) digits."""
+        assert MAX_BOUND == 10 ** 1000 - 1
+        assert GenParams(coordinate_bound=MAX_BOUND).coordinate_bound == MAX_BOUND
 
 
 class TestGenCeva:

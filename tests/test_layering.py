@@ -16,3 +16,16 @@ def test_no_private_imports(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Value classes are plain classes: importing dataclasses (and
+    inspect with it) and generating their code would cost every CLI
+    start-up."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert "dataclasses" not in imported

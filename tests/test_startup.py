@@ -1,0 +1,73 @@
+"""What importing polyceva loads: structure, not time."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import polyceva
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# polyceva.__all__ as it was before names loaded lazily.
+ALL = [
+    "AffineMap", "AxisAligned", "CevaConfig", "CoincidentLines",
+    "CoincidesWithDenominatorEnd", "ConfigError", "Counterexample",
+    "DegenerateConfig", "DivisionByZero", "DuplicateLines", "Factor",
+    "FuzzFailure", "FuzzReport", "GenParams", "GenerationExhausted",
+    "GeometryError", "IdenticalPoints", "InscribedConfig", "InscribedReport",
+    "InvalidRational", "InvariantViolation", "Line", "MalformedJson",
+    "NotCollinear", "NotConcurrent", "ParallelLines", "Point", "ProductReport",
+    "Rational", "SecondParam", "Tangent", "ThroughPoint", "affine_apply",
+    "all_sides_product", "are_concurrent", "as_rational",
+    "build_converse_counterexample", "ceva", "ceva_product",
+    "cevian_intersection", "chord_telescoping_squared", "circle",
+    "circle_point", "classic_ceva_product", "concurrent_secants_check",
+    "configio", "directed_ratio", "distance_squared", "errors",
+    "format_rational", "fuzz", "fuzz_ceva", "fuzz_inscribed",
+    "gen_ceva_config", "gen_inscribed_config", "geometry", "homogeneous",
+    "idx_shift", "inscribed_chord_product_squared", "inscribed_identity_report",
+    "inscribed_opposite_side_check", "inscribed_side_product",
+    "intersect_lines", "is_collinear", "line_through", "line_value_antisymmetry",
+    "normalized_line_value", "opposite_vertex_product", "parse_rational",
+    "point_from_ratio", "second_intersection", "second_points", "side_factors",
+    "sides_hit", "signed_area2", "similar_triangles_relation", "vertex_lines",
+]
+
+
+def modules_after(statement: str) -> set[str]:
+    """Modules a fresh interpreter holds after running statement."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_only_what_verify_needs():
+    loaded = modules_after("import polyceva.cli")
+    assert "polyceva.configio" in loaded
+    for name in ("polyceva.fuzz", "polyceva.svgout", "dataclasses", "inspect"):
+        assert name not in loaded
+
+
+def test_package_import_loads_no_submodule():
+    assert not {m for m in modules_after("import polyceva")
+                if m.startswith("polyceva.")}
+
+
+def test_all_is_unchanged():
+    assert polyceva.__all__ == ALL
+    assert len(ALL) == 77
+
+
+def test_every_exported_name_resolves():
+    for name in ALL:
+        getattr(polyceva, name)
+    namespace = {}
+    exec("from polyceva import *", namespace)
+    assert set(ALL) <= set(namespace)
+    assert polyceva.Point is polyceva.geometry.Point
+    assert polyceva.fuzz_ceva is polyceva.fuzz.fuzz_ceva

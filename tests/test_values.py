@@ -1,0 +1,123 @@
+"""The value classes' contract: repr, equality, hash and immutability.
+
+Reprs reach users through error messages (a Tangent message prints a
+Line and a Point), so they are pinned exactly.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from polyceva.ceva import CevaConfig, Factor
+from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
+from polyceva.fuzz import FuzzFailure, FuzzReport, GenParams
+from polyceva.geometry import Line, Point
+
+TRIANGLE = (Point(0, 0), Point(4, 0), Point(0, 4))
+
+
+def triangle_config() -> CevaConfig:
+    return CevaConfig(TRIANGLE, Point(1, 1), 1, 1)
+
+
+def inscribed_config() -> InscribedConfig:
+    return InscribedConfig(1, (-2, 0, "1/2"),
+                           (SecondParam(3), ThroughPoint(Point(F(1, 10), F(1, 10))),
+                            SecondParam(-1)), 1, 1)
+
+
+def failing_report() -> FuzzReport:
+    failure = FuzzFailure(1, 7, "squared_identity", "4", "9",
+                          {"kind": "ceva", "vertices": [["0", "0"]], "s": 1})
+    return FuzzReport("inscribed", 3, 2, 1, [failure], 0.25)
+
+
+@pytest.mark.parametrize("value, text", [
+    (Point(F(1, 2), 3), "Point(x=Fraction(1, 2), y=Fraction(3, 1))"),
+    (Line(2, 4, 6), "Line(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1))"),
+    (Factor(1, 2, F(-1, 3)), "Factor(i=1, j=2, value=Fraction(-1, 3))"),
+    (triangle_config(),
+     "CevaConfig(vertices=(Point(x=Fraction(0, 1), y=Fraction(0, 1)), "
+     "Point(x=Fraction(4, 1), y=Fraction(0, 1)), Point(x=Fraction(0, 1), "
+     "y=Fraction(4, 1))), pivot=Point(x=Fraction(1, 1), y=Fraction(1, 1)), "
+     "s=1, t=1)"),
+    (inscribed_config(),
+     "InscribedConfig(radius=Fraction(1, 1), params=(Fraction(-2, 1), "
+     "Fraction(0, 1), Fraction(1, 2)), line_specs=(SecondParam(v=Fraction(3, 1)), "
+     "ThroughPoint(point=Point(x=Fraction(1, 10), y=Fraction(1, 10))), "
+     "SecondParam(v=Fraction(-1, 1))), s=1, t=1)"),
+    (GenParams(seed=3),
+     "GenParams(seed=3, n_min=3, n_max=7, coordinate_bound=10, max_rejections=2000)"),
+    (failing_report(),
+     "FuzzReport(kind='inscribed', trials_requested=3, trials_completed=2, "
+     "rejections=1, failures=[FuzzFailure(trial=1, seed=7, check='squared_identity', "
+     "expected='4', actual='9', config={'kind': 'ceva', 'vertices': [['0', '0']], "
+     "'s': 1})], elapsed_seconds=0.25)"),
+])
+def test_repr(value, text):
+    assert repr(value) == text
+
+
+def test_equality_and_hash_follow_the_fields():
+    assert Point(F(1, 2), 3) == Point("1/2", 3)
+    assert hash(Point(F(1, 2), 3)) == hash((F(1, 2), F(3)))
+    assert Factor(1, 2, F(1)) != Factor(2, 1, F(1))
+    assert Point(0, 0) != (F(0), F(0))
+    assert SecondParam(3) == SecondParam(3)
+    assert hash(SecondParam(3)) == hash((F(3),))
+
+
+@pytest.mark.parametrize("build, stored", [
+    (triangle_config, ("factors",)),
+    (inscribed_config, ("vertices", "line_points", "m_primes", "factors")),
+])
+def test_stored_results_are_left_out(build, stored):
+    """Configs that differ only in what construction stored are equal,
+    hash equal and print the same."""
+    first, second = build(), build()
+    for name in stored:
+        object.__setattr__(second, name, ())
+        assert getattr(first, name) != ()
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)
+
+
+@pytest.mark.parametrize("value, name", [
+    (Point(1, 2), "x"),
+    (Line(1, 2, 3), "c"),
+    (Factor(1, 2, F(1)), "value"),
+    (triangle_config(), "factors"),
+    (inscribed_config(), "m_primes"),
+    (GenParams(), "seed"),
+    (GenParams(), "not_a_field"),
+])
+def test_fields_cannot_be_assigned_or_deleted(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+
+
+def test_fuzz_report_is_mutable_and_unhashable():
+    report = failing_report()
+    report.rejections += 1
+    report.failures.clear()
+    assert report == FuzzReport("inscribed", 3, 2, 2, [], 0.25)
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_fuzz_report_to_dict():
+    """Same JSON as dataclasses.asdict gave, with nothing shared."""
+    report = failing_report()
+    doc = report.to_dict()
+    assert json.dumps(doc) == (
+        '{"kind": "inscribed", "trials_requested": 3, "trials_completed": 2, '
+        '"rejections": 1, "failures": [{"trial": 1, "seed": 7, '
+        '"check": "squared_identity", "expected": "4", "actual": "9", '
+        '"config": {"kind": "ceva", "vertices": [["0", "0"]], "s": 1}}], '
+        '"elapsed_seconds": 0.25}')
+    doc["failures"][0]["config"]["vertices"][0][0] = "5"
+    assert report.failures[0].config["vertices"] == [["0", "0"]]
