@@ -195,6 +195,13 @@ class InscribedConfig(Frozen):
     def n(self) -> int:
         return len(self.params)
 
+    @property
+    def common_point(self) -> Point | None:
+        """The one point every d_i is specified through, or None."""
+        points = {spec.point if isinstance(spec, ThroughPoint) else None
+                  for spec in self.line_specs}
+        return points.pop() if len(points) == 1 else None
+
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""
         return self.vertices[(i - 1) % self.n]
@@ -203,18 +210,6 @@ class InscribedConfig(Frozen):
 def vertex_lines(cfg: InscribedConfig) -> tuple[Line, ...]:
     """The lines d_1 .. d_n."""
     return tuple(line_through(a, p) for a, p in zip(cfg.vertices, cfg.line_points))
-
-
-def second_points(cfg: InscribedConfig) -> tuple[Point, ...]:
-    """The second circle points M'_1 .. M'_n."""
-    return cfg.m_primes
-
-
-def inscribed_side_product(cfg: InscribedConfig) -> tuple[Fraction, list[Factor]]:
-    """Signed product of the side ratios at all n*t crossings, with the
-    per-crossing factors."""
-    product = math.prod((f.value for f in cfg.factors), start=Fraction(1))
-    return product, list(cfg.factors)
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
@@ -233,10 +228,14 @@ def _chord_ratio_product(cfg: InscribedConfig, apexes) -> Fraction:
     n = cfg.n
     product = Fraction(1)
     for i, apex in enumerate(apexes, start=1):
-        near = vertices[idx_shift(i, cfg.s, n) - 1]
-        far = vertices[idx_shift(i, cfg.s + cfg.t, n) - 1]
-        product *= distance_squared(apex, near) / distance_squared(apex, far)
+        product *= _chord_ratio(apex, vertices[idx_shift(i, cfg.s, n) - 1],
+                                vertices[idx_shift(i, cfg.s + cfg.t, n) - 1])
     return product
+
+
+def _chord_ratio(apex: Point, near: Point, far: Point) -> Fraction:
+    """|apex near|^2 / |apex far|^2."""
+    return distance_squared(apex, near) / distance_squared(apex, far)
 
 
 def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
@@ -259,12 +258,9 @@ def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
     a_i = cfg.vertices[i - 1]
     a_j = cfg.vertices[j - 1]
     a_jn = cfg.vertices[idx_shift(j, 1, n) - 1]
-    m_prime = cfg.m_primes[i - 1]
     ratio = cfg.factors[(i - 1) * cfg.t].value
-    lhs = ratio * ratio
-    rhs = (distance_squared(m_prime, a_j) / distance_squared(m_prime, a_jn)) \
-        * (distance_squared(a_i, a_j) / distance_squared(a_i, a_jn))
-    return lhs == rhs
+    return ratio * ratio == (_chord_ratio(cfg.m_primes[i - 1], a_j, a_jn)
+                             * _chord_ratio(a_i, a_j, a_jn))
 
 
 def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
@@ -277,51 +273,53 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
 
 
 class InscribedReport(Frozen):
-    """Both sides of the squared identity plus the raw signed product."""
+    """Both sides of the squared identity plus the raw signed product
+    ``lhs``, and ``expected``, the value that pins lhs, or None if none."""
 
     _fields = ("lhs", "lhs_squared", "rhs_squared", "holds", "m_prime_points",
-               "factors")
+               "factors", "expected")
     lhs: Fraction
     lhs_squared: Fraction
     rhs_squared: Fraction
     holds: bool
     m_prime_points: tuple[Point, ...]
     factors: tuple[Factor, ...]
+    expected: Fraction | None
 
     def __init__(self, lhs: Fraction, lhs_squared: Fraction,
                  rhs_squared: Fraction, holds: bool,
-                 m_prime_points: tuple[Point, ...], factors: tuple[Factor, ...]):
+                 m_prime_points: tuple[Point, ...], factors: tuple[Factor, ...],
+                 expected: Fraction | None):
         self.__dict__.update(zip(self._fields, (
-            lhs, lhs_squared, rhs_squared, holds, m_prime_points, factors)))
+            lhs, lhs_squared, rhs_squared, holds, m_prime_points, factors,
+            expected)))
 
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
     """Verify lhs^2 = rhs^2 exactly for an inscribed configuration."""
-    lhs, factors = inscribed_side_product(cfg)
+    lhs = math.prod((f.value for f in cfg.factors), start=Fraction(1))
+    lhs_squared = lhs * lhs
     rhs_squared = inscribed_chord_product_squared(cfg)
-    return InscribedReport(lhs, lhs * lhs, rhs_squared,
-                           lhs * lhs == rhs_squared,
-                           cfg.m_primes, tuple(factors))
+    return InscribedReport(lhs, lhs_squared, rhs_squared,
+                           lhs_squared == rhs_squared, cfg.m_primes,
+                           cfg.factors, None)
 
 
 def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
     """Specialization where every d_i passes through one common point.
 
-    Requires all line specs to be ThroughPoint with the same point.  In
-    that case the signed side product is pinned to (-1)^n and the chord
-    product has magnitude exactly 1; ``holds`` demands both on top of
-    the squared identity.
+    Requires ``cfg.common_point``.  The signed side product is then
+    pinned to ``expected`` = (-1)^n and the chord product has magnitude
+    exactly 1; ``holds`` demands both on top of the squared identity.
     """
-    if not all(isinstance(spec, ThroughPoint) for spec in cfg.line_specs):
-        raise NotConcurrent("every vertex line must be specified through a point")
-    if len({spec.point for spec in cfg.line_specs}) != 1:
+    if cfg.common_point is None:
         raise NotConcurrent("vertex lines do not share one common point")
     report = inscribed_identity_report(cfg)
     expected = Fraction(-1) ** cfg.n
-    holds = (report.holds and report.lhs == expected
-             and report.rhs_squared == 1)
     return InscribedReport(report.lhs, report.lhs_squared, report.rhs_squared,
-                           holds, report.m_prime_points, report.factors)
+                           report.holds and report.lhs == expected
+                           and report.rhs_squared == 1,
+                           report.m_prime_points, report.factors, expected)
 
 
 def inscribed_opposite_side_check(cfg: InscribedConfig) -> InscribedReport:

@@ -18,13 +18,11 @@ import argparse
 import importlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .ceva import CevaConfig, build_converse_counterexample, ceva_product
 from .circle import (
     InscribedConfig,
-    ThroughPoint,
     concurrent_secants_check,
     inscribed_identity_report,
 )
@@ -136,13 +134,11 @@ def _verify_report(parsed) -> dict:
     if isinstance(parsed, CevaConfig):
         return ceva_run_report(parsed, ceva_product(parsed))
     if isinstance(parsed, InscribedConfig):
-        specs = parsed.line_specs
-        shared = (all(isinstance(s, ThroughPoint) for s in specs)
-                  and len({s.point for s in specs}) == 1)
-        if shared:
+        if parsed.common_point is None:
+            report = inscribed_identity_report(parsed)
+        else:
             report = concurrent_secants_check(parsed)
-            return inscribed_run_report(parsed, report, Fraction(-1) ** parsed.n)
-        return inscribed_run_report(parsed, inscribed_identity_report(parsed), None)
+        return inscribed_run_report(parsed, report)
     assert isinstance(parsed, CounterexampleInput)
     result = build_converse_counterexample(parsed.vertices, parsed.pivot)
     return counterexample_run_report(result, parsed.seed)

@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .ceva import CevaConfig, Counterexample, ProductReport
+from .ceva import MAX_VERTICES, CevaConfig, Counterexample, ProductReport
 from .circle import InscribedConfig, InscribedReport, SecondParam, ThroughPoint
 from .errors import InvalidRational, InvariantViolation, MalformedJson
 from .frozen import Frozen
@@ -101,13 +101,22 @@ def _int(doc: dict, key: str) -> int:
     return value
 
 
+def _entries(value, key: str, what: str) -> list:
+    """The list field ``key``, at most MAX_VERTICES long: the limit holds
+    before any entry is parsed, so a long document is cheap to reject."""
+    if not isinstance(value, list):
+        raise InvariantViolation(f"{key}: expected a list of {what}")
+    if len(value) > MAX_VERTICES:
+        raise InvariantViolation(f"{key}: a polygon has at most {MAX_VERTICES} "
+                                 f"vertices, got {len(value)} entries")
+    return value
+
+
 def _points(doc: dict, key: str) -> tuple[Point, ...]:
     if key not in doc:
         raise InvariantViolation(f"missing field {key!r}")
-    value = doc[key]
-    if not isinstance(value, list):
-        raise InvariantViolation(f"{key}: expected a list of points")
-    return tuple(_point(p, f"{key}[{i}]") for i, p in enumerate(value))
+    return tuple(_point(p, f"{key}[{i}]")
+                 for i, p in enumerate(_entries(doc[key], key, "points")))
 
 
 def _bits(*values: Fraction) -> int:
@@ -162,14 +171,10 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         if "radius" not in doc:
             raise InvariantViolation("missing field 'radius'")
         radius = _rational(doc["radius"], "radius")
-        if not isinstance(doc.get("params"), list):
-            raise InvariantViolation("params: expected a list of rationals")
-        params = tuple(_rational(u, f"params[{i}]")
-                       for i, u in enumerate(doc["params"]))
-        if not isinstance(doc.get("lines"), list):
-            raise InvariantViolation("lines: expected a list of line specs")
-        specs = tuple(_line_spec(item, f"lines[{i}]")
-                      for i, item in enumerate(doc["lines"]))
+        params = tuple(_rational(u, f"params[{i}]") for i, u in enumerate(
+            _entries(doc.get("params"), "params", "rationals")))
+        specs = tuple(_line_spec(item, f"lines[{i}]") for i, item in enumerate(
+            _entries(doc.get("lines"), "lines", "line specs")))
         s, t = _int(doc, "s"), _int(doc, "t")
         # A circle point of parameter p/q on radius a/b has parts
         # a(q^2 - p^2), 2apq and b(q^2 + p^2).
@@ -258,8 +263,7 @@ def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
     }
 
 
-def inscribed_run_report(cfg: InscribedConfig, report: InscribedReport,
-                         expected: Fraction | None) -> dict:
+def inscribed_run_report(cfg: InscribedConfig, report: InscribedReport) -> dict:
     return {
         "kind": "inscribed",
         "n": cfg.n,
@@ -267,7 +271,8 @@ def inscribed_run_report(cfg: InscribedConfig, report: InscribedReport,
         "t": cfg.t,
         "factors": _factor_entries(report.factors),
         "product": format_rational(report.lhs),
-        "expected": None if expected is None else format_rational(expected),
+        "expected": (None if report.expected is None
+                     else format_rational(report.expected)),
         "holds": report.holds,
         "diagnostics": {
             "lhs_squared": format_rational(report.lhs_squared),

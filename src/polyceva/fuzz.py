@@ -283,8 +283,11 @@ def fuzz_inscribed(params: GenParams, trials: int,
             report.failures.append(
                 FuzzFailure(trial, params.seed, check, expected, actual, doc))
 
-        result = inscribed_identity_report(cfg)
-        if not result.holds:
+        if concurrent:
+            result = concurrent_secants_check(cfg)
+        else:
+            result = inscribed_identity_report(cfg)
+        if result.lhs_squared != result.rhs_squared:
             fail("squared_identity", format_rational(result.rhs_squared),
                  format_rational(result.lhs_squared))
         telescoped = chord_telescoping_squared(cfg)
@@ -293,12 +296,9 @@ def fuzz_inscribed(params: GenParams, trials: int,
         for i in range(1, cfg.n + 1):
             if not similar_triangles_relation(cfg, i):
                 fail(f"similar_triangles[{i}]", "equal", "unequal")
-        if concurrent:
-            pinned = concurrent_secants_check(cfg)
-            if not pinned.holds:
-                fail("concurrent_sign",
-                     f"{format_rational(Fraction(-1) ** cfg.n)} and 1",
-                     f"{format_rational(pinned.lhs)} and "
-                     f"{format_rational(pinned.rhs_squared)}")
+        if concurrent and not result.holds:
+            fail("concurrent_sign", f"{format_rational(result.expected)} and 1",
+                 f"{format_rational(result.lhs)} and "
+                 f"{format_rational(result.rhs_squared)}")
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -5,15 +5,22 @@ For each vertex line and side-line the crossing M_ij is found with
 intersect_lines, the general-position checks are made at that point, and
 the factor is directed_ratio(M_ij, A_j, A_{j+1}).  It shares no formula
 with the area-principle kernel (polyceva.ceva.side_factors), which never
-builds the crossing point.
+builds the crossing point.  The second circle point M'_i comes from the
+line's coefficients by the sum of the roots of the substituted quadratic,
+not from the kernel's chord construction.
 """
 
 from __future__ import annotations
 
 from polyceva.ceva import Factor, idx_shift, sides_hit
-from polyceva.circle import SecondParam, circle_point, second_intersection
-from polyceva.errors import CoincidentLines, DegenerateConfig, ParallelLines
-from polyceva.geometry import directed_ratio, intersect_lines, line_through
+from polyceva.circle import SecondParam, circle_point
+from polyceva.errors import (
+    CoincidentLines,
+    DegenerateConfig,
+    ParallelLines,
+    Tangent,
+)
+from polyceva.geometry import Point, directed_ratio, intersect_lines, line_through
 
 
 def crossing_factor(vertices, a_i, p, i, j) -> Factor:
@@ -27,6 +34,24 @@ def crossing_factor(vertices, a_i, p, i, j) -> Factor:
     if m == a_j or m == a_jn:
         raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j)
     return Factor(i, j, directed_ratio(m, a_j, a_jn))
+
+
+def second_circle_point(line, known):
+    """The other point where ``line`` meets the circle x^2 + y^2 = r^2
+    through ``known``.  Substituting the line a x + b y + c = 0 gives a
+    quadratic whose roots sum to a rational expression in a, b, c; a
+    double root means the line is tangent at ``known``."""
+    a, b, c = line.a, line.b, line.c
+    if a != 0:
+        # x = -(b y + c)/a:  (a^2 + b^2) y^2 + 2 b c y + c^2 - a^2 r^2 = 0.
+        y = -2 * b * c / (a * a + b * b) - known.y
+        other = Point(-(b * y + c) / a, y)
+    else:
+        # y = -c/b:  x^2 = r^2 - (c/b)^2, roots x and -x.
+        other = Point(-known.x, known.y)
+    if other == known:
+        raise Tangent(f"line {line} is tangent at {known}")
+    return other
 
 
 def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
@@ -50,7 +75,7 @@ def inscribed_factors(radius, params, specs, s, t):
             p = m_prime = circle_point(spec.v, radius)
         else:
             p = spec.point
-            m_prime = second_intersection(line_through(a_i, p), a_i, radius)
+            m_prime = second_circle_point(line_through(a_i, p), a_i)
         for k in {idx_shift(i, s, n), idx_shift(i, s + 1, n),
                   idx_shift(i, s + t, n)}:
             if m_prime == vertices[k - 1]:

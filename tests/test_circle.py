@@ -26,9 +26,7 @@ from polyceva.circle import (
     inscribed_chord_product_squared,
     inscribed_identity_report,
     inscribed_opposite_side_check,
-    inscribed_side_product,
     second_intersection,
-    second_points,
     similar_triangles_relation,
     vertex_lines,
 )
@@ -156,18 +154,19 @@ class TestInscribedConfigValidation:
 class TestSideProduct:
     def test_concurrent_lines_give_signed_unit(self):
         cfg = inscribed_triangle_with_common_point()
-        product, factors = inscribed_side_product(cfg)
+        product, factors = inscribed_identity_report(cfg).lhs, cfg.factors
         assert product == -1
         assert len(factors) == 3
 
     def test_pentagon_fixture(self):
-        product, factors = inscribed_side_product(pentagon_config())
+        cfg = pentagon_config()
+        product, factors = inscribed_identity_report(cfg).lhs, cfg.factors
         assert product == -27
         assert len(factors) == 5
 
     def test_float_cross_check(self):
         cfg = pentagon_config()
-        product, _ = inscribed_side_product(cfg)
+        product = inscribed_identity_report(cfg).lhs
         verts = [(float(p.x), float(p.y)) for p in cfg.vertices]
         others = [(float(circle_point(v, 1).x), float(circle_point(v, 1).y))
                   for v in PENTAGON_VS]
@@ -181,14 +180,14 @@ class TestChordProduct:
 
     def test_pentagon_fixture_matches_square_of_lhs(self):
         cfg = pentagon_config()
-        lhs, _ = inscribed_side_product(cfg)
+        lhs = inscribed_identity_report(cfg).lhs
         assert inscribed_chord_product_squared(cfg) == lhs * lhs == 729
 
     def test_random_configs(self):
         params = GenParams(seed=53, n_min=3, n_max=7)
         for trial in range(20):
             cfg = gen_inscribed_config(params, trial)
-            lhs, _ = inscribed_side_product(cfg)
+            lhs = inscribed_identity_report(cfg).lhs
             assert inscribed_chord_product_squared(cfg) == lhs * lhs
 
 
@@ -263,6 +262,18 @@ class TestConcurrentSecants:
         assert report.lhs == -1
         assert report.rhs_squared == 1
         assert report.holds
+
+    def test_common_point_and_pinned_sign(self):
+        cfg = inscribed_triangle_with_common_point()
+        assert cfg.common_point == cfg.line_specs[0].point
+        assert concurrent_secants_check(cfg).expected == -1
+        assert inscribed_identity_report(cfg).expected is None
+        us = (F(-2), F(0), F(1, 2))
+        shared = ThroughPoint(Point(F(1, 10), F(1, 10)))
+        for specs in [(shared, shared, ThroughPoint(Point(F(1, 7), F(1, 5)))),
+                      (shared, shared, SecondParam(F(5)))]:
+            assert InscribedConfig(F(1), us, specs, 1, 1).common_point is None
+        assert pentagon_config().common_point is None
 
     def test_inscribed_quadrilateral(self):
         us = (F(-2), F(0), F(1, 2), F(3))
@@ -348,8 +359,8 @@ class TestRotationInvariance:
             tuple(SecondParam(v) for v in new_vs[shift:] + new_vs[:shift]),
             2, 1)
 
-        lhs, _ = inscribed_side_product(cfg)
-        lhs_rot, _ = inscribed_side_product(rotated)
+        lhs = inscribed_identity_report(cfg).lhs
+        lhs_rot = inscribed_identity_report(rotated).lhs
         assert lhs == lhs_rot
         assert inscribed_chord_product_squared(cfg) == \
             inscribed_chord_product_squared(rotated)
@@ -361,10 +372,10 @@ class TestIdentityReport:
         assert report.lhs_squared == report.lhs ** 2
         assert report.holds == (report.lhs_squared == report.rhs_squared)
         assert len(report.m_prime_points) == 5
-        assert report.m_prime_points == second_points(pentagon_config())
+        assert report.m_prime_points == pentagon_config().m_primes
 
     def test_second_points_on_circle(self):
-        for p in second_points(pentagon_config()):
+        for p in pentagon_config().m_primes:
             assert p.x ** 2 + p.y ** 2 == 1
 
     def test_vertex_lines_contain_vertices(self):

@@ -2,13 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import polyceva.ceva
 import polyceva.circle
 import polyceva.configio
-from polyceva.ceva import CevaConfig
+from polyceva.ceva import MAX_VERTICES, CevaConfig
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.configio import (
     MAX_WORK,
@@ -270,3 +271,44 @@ class TestWorkBudget:
         assert str(exc.value) == (
             f"config needs {work} units of work (1520 factors with "
             f"{self.BITS + 1}-bit operands), over the limit of {MAX_WORK}")
+
+
+class TestListLimit:
+    """Each vertex list is held to ceva.MAX_VERTICES before any of its
+    entries is parsed, so the cost of rejecting a long document does not
+    grow with the work its entries would take."""
+
+    @staticmethod
+    def doc(field: str, entries: list) -> str:
+        if field == "vertices":
+            return dumps({**TRIANGLE_DOC, "vertices": entries})
+        doc = {"kind": "inscribed", "radius": "2",
+               "params": ["0", "1", "2"],
+               "lines": [{"second_param": "5"}] * 3, "s": 1, "t": 1}
+        return dumps({**doc, field: entries})
+
+    @pytest.mark.parametrize("field, malformed", [
+        ("vertices", "not a point"), ("params", 1.5), ("lines", {})])
+    def test_limit_before_malformed_entries(self, field, malformed):
+        with pytest.raises(InvariantViolation) as exc:
+            parse_config(self.doc(field, [malformed] * (MAX_VERTICES + 1)))
+        assert str(exc.value) == (f"{field}: a polygon has at most 256 "
+                                  f"vertices, got 257 entries")
+
+    @pytest.mark.parametrize("field, entry", [
+        ("vertices", ["7/9", "7/9"]), ("params", "7/9"),
+        ("lines", {"second_param": "7/9"})])
+    def test_long_list_rejected_unparsed(self, monkeypatch, field, entry):
+        parsed = []
+        monkeypatch.setattr(polyceva.configio, "parse_rational",
+                            lambda text: parsed.append(text) or Fraction(2))
+        with pytest.raises(InvariantViolation, match="at most 256 vertices"):
+            parse_config(self.doc(field, [entry] * 100_000))
+        # Fields before the long list are parsed, none of its entries.
+        assert "7/9" not in parsed
+        assert len(parsed) <= 4
+
+    def test_limit_admits_max_vertices(self):
+        with pytest.raises(InvariantViolation, match="2s \\+ t = n violated"):
+            parse_config(self.doc("vertices", [[str(k), str(k * k)] for k in
+                                               range(MAX_VERTICES)]))

@@ -1,9 +1,13 @@
 """Harness tests: deterministic generation, rejection accounting, and
 batch verification reports."""
 
+from fractions import Fraction
+
 import pytest
 
-from polyceva.ceva import MAX_VERTICES, CevaConfig
+import polyceva.circle
+import polyceva.fuzz
+from polyceva.ceva import MAX_VERTICES, CevaConfig, ProductReport
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
@@ -174,3 +178,66 @@ class TestFuzzInscribed:
         params = GenParams(seed=29, n_max=5)
         assert _comparable(fuzz_inscribed(params, 10)) == \
             _comparable(fuzz_inscribed(params, 10))
+
+
+# One small trial of each kind, with the engines falsified through names
+# every call path reaches, pins what a failure records: the check names,
+# their expected and actual strings, and their order.
+FALSIFIED = GenParams(seed=7, n_min=3, n_max=4, coordinate_bound=3)
+
+CEVA_DOC = {"kind": "ceva",
+            "vertices": [["-1/3", "2/3"], ["-1/3", "1"], ["-1/3", "-3"]],
+            "M": ["0", "0"], "s": 1, "t": 1}
+INSCRIBED_DOC = {"kind": "inscribed", "radius": "2/3",
+                 "params": ["-1/3", "2/3", "1"],
+                 "lines": [{"second_param": "-3"}, {"second_param": "0"},
+                           {"second_param": "0"}],
+                 "s": 1, "t": 1}
+CONCURRENT_DOC = {"kind": "inscribed", "radius": "2/3",
+                  "params": ["-1/3", "2/3", "1"],
+                  "lines": [{"through": ["-1/3", "-3"]}] * 3,
+                  "s": 1, "t": 1}
+
+
+def _records(kind: str, doc: dict, *checks: tuple[str, str, str]) -> dict:
+    return {"kind": kind, "trials_requested": 1, "trials_completed": 1,
+            "rejections": 0,
+            "failures": [{"trial": 0, "seed": 7, "check": check,
+                          "expected": expected, "actual": actual,
+                          "config": doc}
+                         for check, expected, actual in checks]}
+
+
+class TestFailureRecords:
+    @pytest.fixture
+    def falsified(self, monkeypatch):
+        chords = polyceva.circle.inscribed_chord_product_squared
+        monkeypatch.setattr(
+            polyceva.fuzz, "ceva_product",
+            lambda cfg: ProductReport.from_factors(cfg.factors[1:],
+                                                   Fraction(-1) ** cfg.n))
+        monkeypatch.setattr(polyceva.circle, "inscribed_chord_product_squared",
+                            lambda cfg: 4 * chords(cfg))
+        monkeypatch.setattr(polyceva.fuzz, "chord_telescoping_squared",
+                            lambda cfg: Fraction(cfg.n))
+        monkeypatch.setattr(polyceva.fuzz, "similar_triangles_relation",
+                            lambda cfg, i: i != 2)
+
+    def test_ceva(self, falsified):
+        assert _comparable(fuzz_ceva(FALSIFIED, 1)) == _records(
+            "ceva", CEVA_DOC, ("signed_product", "-1", "11"))
+
+    def test_inscribed(self, falsified):
+        assert _comparable(fuzz_inscribed(FALSIFIED, 1)) == _records(
+            "inscribed", INSCRIBED_DOC,
+            ("squared_identity", "121/16", "121/64"),
+            ("chord_telescoping", "1", "3"),
+            ("similar_triangles[2]", "equal", "unequal"))
+
+    def test_concurrent(self, falsified):
+        assert _comparable(fuzz_inscribed(FALSIFIED, 1, concurrent=True)) == \
+            _records("concurrent", CONCURRENT_DOC,
+                     ("squared_identity", "4", "1"),
+                     ("chord_telescoping", "1", "3"),
+                     ("similar_triangles[2]", "equal", "unequal"),
+                     ("concurrent_sign", "-1 and 1", "-1 and 4"))
