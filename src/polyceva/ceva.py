@@ -29,6 +29,7 @@ from .errors import (
 )
 from .frozen import Frozen
 from .geometry import (
+    Homogeneous,
     Point,
     Line,
     are_concurrent,
@@ -107,7 +108,8 @@ class CevaConfig(Frozen):
         d["pivot"] = pivot
         d["s"] = s
         d["t"] = t
-        d["factors"] = side_factors(vertices, [pivot] * n, s, t)
+        d["factors"] = side_factors([homogeneous(v) for v in vertices],
+                                    [homogeneous(pivot)] * n, s, t)
 
     @property
     def n(self) -> int:
@@ -157,7 +159,8 @@ class ProductReport(Frozen):
                              product == expected)
 
 
-def side_factors(vertices: Sequence[Point], line_points: Iterable[Point],
+def side_factors(vertices: Sequence[Homogeneous],
+                 line_points: Iterable[Homogeneous],
                  s: int, t: int) -> tuple[Factor, ...]:
     """Signed side ratios of every vertex line, by the area principle.
 
@@ -176,24 +179,24 @@ def side_factors(vertices: Sequence[Point], line_points: Iterable[Point],
     caller may interleave its own per-vertex checks; it may stop early,
     giving factors for the first vertices only.
 
-    The areas are computed in integers, on homogeneous coordinates: with
-    (X, Y, W) = homogeneous(.), the cross product (a, b, c) of A_i and
-    P_i takes the value a*X_V + b*Y_V + c*W_V = W_A W_P W_V [A_i P_i V]
-    at V, a positive multiple of the area.  Each vertex line is
-    evaluated once at each of the t + 1 endpoints of its sides, and a
-    factor is the one quotient (near * W_far) / (far * W_near).
+    Points are given as integer homogeneous triples (X, Y, W), x = X/W
+    and y = Y/W, at any scale with W > 0 (geometry.homogeneous gives the
+    least one), and the areas are computed in integers: the cross
+    product (a, b, c) of A_i and P_i takes the value a*X_V + b*Y_V +
+    c*W_V = W_A W_P W_V [A_i P_i V] at V, a positive multiple of the
+    area.  Each vertex line is evaluated once at each of the t + 1
+    endpoints of its sides, and a factor is the one quotient
+    (near * W_far) / (far * W_near), which no triple's scale changes.
     """
     n = len(vertices)
-    hom = [homogeneous(v) for v in vertices]
     factors = []
-    for i, p in enumerate(line_points, start=1):
-        x_a, y_a, w_a = hom[i - 1]
-        x_p, y_p, w_p = homogeneous(p)
+    for i, (x_p, y_p, w_p) in enumerate(line_points, start=1):
+        x_a, y_a, w_a = vertices[i - 1]
         a = y_a * w_p - w_a * y_p
         b = w_a * x_p - x_a * w_p
         c = x_a * y_p - y_a * x_p
         sides = sides_hit(i, s, t, n)
-        ends = [hom[j - 1] for j in sides] + [hom[sides[-1] % n]]
+        ends = [vertices[j - 1] for j in sides] + [vertices[sides[-1] % n]]
         values = [a * x + b * y + c * w for x, y, w in ends]
         for d, j in enumerate(sides):
             near, far = values[d], values[d + 1]
@@ -365,7 +368,8 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         return vertices[(i - 1) % 5]
 
     # The three genuine cevians: vertex i cuts side i + 2.
-    genuine = side_factors(vertices, [pivot] * 3, 2, 1)
+    genuine = side_factors([homogeneous(v) for v in vertices],
+                           [homogeneous(pivot)] * 3, 2, 1)
     k_value = math.prod((f.value for f in genuine), start=Fraction(1))
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot

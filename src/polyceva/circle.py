@@ -6,7 +6,10 @@ the tangent half-angle parametrization
     u  ->  ( r(1 - u^2)/(1 + u^2),  2ru/(1 + u^2) ),
 
 a bijection from the rationals onto the rational circle points minus
-(-r, 0).  Through each vertex A_i runs a line d_i; it crosses the t
+(-r, 0).  The engine works on the parameter p/q as the integer pair
+[p : q], where [1 : 0] is (-r, 0): vertices, second circle points and
+chord ratios are integer expressions in these pairs, and Points are
+built only for output.  Through each vertex A_i runs a line d_i; it crosses the t
 side-lines A_j A_{j+1}, j = i+s .. i+s+t-1 (with 2s + t = n), and meets
 the circle again at a second point M'_i.  The identity verified here:
 the squared product of the signed side ratios at the crossings equals
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     DegenerateConfig,
@@ -31,14 +34,19 @@ from .errors import (
 )
 from .frozen import Frozen
 from .geometry import (
+    Homogeneous,
     Line,
     Point,
     RationalLike,
     as_rational,
-    distance_squared,
+    homogeneous,
     line_through,
 )
 from .ceva import Factor, idx_shift, side_factors, validate_split
+
+# A circle parameter p/q as the integer pair [p : q]; any nonzero
+# multiple names the same point.
+Pair = tuple[int, int]
 
 
 def circle_point(u: RationalLike, r: RationalLike) -> Point:
@@ -47,8 +55,22 @@ def circle_point(u: RationalLike, r: RationalLike) -> Point:
     r = as_rational(r)
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    den = 1 + u * u
-    return Point(r * (1 - u * u) / den, 2 * r * u / den)
+    return _pair_point((u.numerator, u.denominator), r)
+
+
+def _pair_point(pair: Pair, r: Fraction) -> Point:
+    """The circle point of parameter pair [p : q]; [1 : 0] is (-r, 0)."""
+    p, q = pair
+    den = r.denominator * (p * p + q * q)
+    return Point(Fraction(r.numerator * (q * q - p * p), den),
+                 Fraction(2 * r.numerator * p * q, den))
+
+
+def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
+    """Homogeneous integer coordinates of the circle point [p : q] on
+    radius a/b: (a(q^2 - p^2), 2apq, b(p^2 + q^2)), with no gcd taken."""
+    p, q = pair
+    return a * (q * q - p * p), 2 * a * p * q, b * (p * p + q * q)
 
 
 def second_intersection(line: Line, known: Point, r: RationalLike) -> Point:
@@ -64,21 +86,14 @@ def second_intersection(line: Line, known: Point, r: RationalLike) -> Point:
         raise ValueError("known point is not on the line")
     if known.x * known.x + known.y * known.y != r * r:
         raise ValueError("known point is not on the circle")
-    return _chord_end(known, Point(known.x - line.b, known.y + line.a))
-
-
-def _chord_end(known: Point, through: Point) -> Point:
-    """Second circle point of the secant from the circle point ``known``
-    through ``through``; the circle is centred at the origin."""
-    # Parametrize as known + t * dir; the quadratic in t has roots 0 and
-    # -2(known . dir)/|dir|^2.
-    dir_x = through.x - known.x
-    dir_y = through.y - known.y
+    # Along known + k * (-b, a) the quadratic in k has roots 0 and
+    # -2 (known . dir) / |dir|^2.
+    dir_x, dir_y = -line.b, line.a
     dot = known.x * dir_x + known.y * dir_y
     if dot == 0:
-        raise Tangent(f"line {line_through(known, through)} is tangent at {known}")
-    t = -2 * dot / (dir_x * dir_x + dir_y * dir_y)
-    return Point(known.x + t * dir_x, known.y + t * dir_y)
+        raise Tangent(f"line {line} is tangent at {known}")
+    k = -2 * dot / (dir_x * dir_x + dir_y * dir_y)
+    return Point(known.x + k * dir_x, known.y + k * dir_y)
 
 
 class SecondParam(Frozen):
@@ -113,9 +128,14 @@ class InscribedConfig(Frozen):
     tangent).  Construction validates structure and general position:
     every required side crossing exists away from the side's endpoints,
     no d_i is tangent, and no second circle point M'_i lands on a vertex
-    used by the chord ratios.  It keeps what that check computes: the
-    vertices, a second point P_i of each d_i, the M'_i and the n*t side
-    ratios, which repr, == and hash leave out.
+    used by the chord ratios.
+
+    The check runs in integer circle parameters: a parameter p/q is the
+    pair [p : q], the pair [1 : 0] being (-r, 0).  Construction keeps
+    the vertex pairs ``param_pairs``, the pairs ``m_prime_pairs`` of the
+    M'_i and the n*t side ratios ``factors``, which repr, == and hash
+    leave out.  ``vertices``, ``line_points`` (a second point P_i of each
+    d_i) and ``m_primes`` are Points built from those on each access.
     """
 
     _fields = ("radius", "params", "line_specs", "s", "t")
@@ -124,9 +144,8 @@ class InscribedConfig(Frozen):
     line_specs: tuple[LineSpec, ...]
     s: int
     t: int
-    vertices: tuple[Point, ...]
-    line_points: tuple[Point, ...]
-    m_primes: tuple[Point, ...]
+    param_pairs: tuple[Pair, ...]
+    m_prime_pairs: tuple[Pair, ...]
     factors: tuple[Factor, ...]
 
     def __init__(self, radius: RationalLike, params: Sequence[RationalLike],
@@ -149,51 +168,84 @@ class InscribedConfig(Frozen):
         if len(line_specs) != n:
             raise InvariantViolation(
                 f"need one line spec per vertex, got {len(line_specs)}")
-        vertices = tuple(circle_point(u, radius) for u in params)
-        line_points = []
+        a, b = radius.numerator, radius.denominator
+        pairs = tuple((u.numerator, u.denominator) for u in params)
+        vertices = [_pair_triple(pair, a, b) for pair in pairs]
+        # Each d_i as its second point P_i, homogeneous, and the pair of
+        # its second circle point M'_i.
+        lines = []
         for i, spec in enumerate(line_specs, start=1):
             if isinstance(spec, SecondParam):
                 if spec.v in params:
                     raise InvariantViolation(
                         f"line {i}: second parameter {spec.v} is a vertex parameter")
-                line_points.append(circle_point(spec.v, radius))
+                pair = (spec.v.numerator, spec.v.denominator)
+                lines.append((_pair_triple(pair, a, b), pair))
             elif isinstance(spec, ThroughPoint):
-                if spec.point == vertices[i - 1]:
+                x_p, y_p, w_p = homogeneous(spec.point)
+                x_a, y_a, w_a = vertices[i - 1]
+                # A positive multiple of the direction P_i - A_i.
+                dx = x_p * w_a - x_a * w_p
+                dy = y_p * w_a - y_a * w_p
+                if dx == 0 and dy == 0:
                     raise InvariantViolation(
                         f"line {i}: through-point coincides with vertex {i}")
-                line_points.append(spec.point)
+                # The chord from [p : q] in direction (dx, dy) ends at
+                # [-(dx q + dy p) : dy q - dx p], by the tangent of the
+                # half-angle sum.
+                p, q = pairs[i - 1]
+                lines.append(((x_p, y_p, w_p),
+                              (-(dx * q + dy * p), dy * q - dx * p)))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
-        m_primes: list[Point] = []
-        d["vertices"] = vertices
-        d["line_points"] = tuple(line_points)
+        m_primes: list[Pair] = []
+        d["param_pairs"] = pairs
         d["factors"] = side_factors(
-            vertices, self._checked_line_points(m_primes), s, t)
-        d["m_primes"] = tuple(m_primes)
+            vertices, self._checked_line_points(lines, m_primes), s, t)
+        d["m_prime_pairs"] = tuple(m_primes)
 
-    def _checked_line_points(self, m_primes: list[Point]) -> Iterator[Point]:
-        """Yield each P_i once M'_i is found and checked, appending it to
+    def _checked_line_points(self, lines, m_primes: list[Pair]):
+        """Yield each P_i once M'_i is checked, appending its pair to
         m_primes; side_factors checks vertex i's sides before asking for
         P_{i+1}, so every vertex is checked in full before the next."""
+        pairs = self.param_pairs
         n = self.n
-        for i, (a_i, p) in enumerate(zip(self.vertices, self.line_points), start=1):
-            if isinstance(self.line_specs[i - 1], SecondParam):
-                m_prime = p
-            else:
-                m_prime = _chord_end(a_i, p)
+        s, t = self.s, self.t
+        for i, (point, (p, q)) in enumerate(lines):
+            p_a, q_a = pairs[i]
+            if p * q_a == p_a * q:
+                # M'_i = A_i: the line only touches the circle there.
+                a_i = self.vertex(i + 1)
+                raise Tangent(f"line {line_through(a_i, self.line_specs[i].point)} "
+                              f"is tangent at {a_i}")
             # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
             # the numerator vertex A_{i+s} must be avoided as well.
-            for k in {idx_shift(i, self.s, n), idx_shift(i, self.s + 1, n),
-                      idx_shift(i, self.s + self.t, n)}:
-                if m_prime == self.vertices[k - 1]:
-                    raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, k,
+            for k in (i + s, i + s + 1, i + s + t):
+                p_k, q_k = pairs[k % n]
+                if p * q_k == p_k * q:
+                    raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i + 1,
+                                           k % n + 1,
                                            "second circle point is a vertex")
-            m_primes.append(m_prime)
-            yield p
+            m_primes.append((p, q))
+            yield point
 
     @property
     def n(self) -> int:
         return len(self.params)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(_pair_point(pair, self.radius) for pair in self.param_pairs)
+
+    @property
+    def line_points(self) -> tuple[Point, ...]:
+        return tuple(spec.point if isinstance(spec, ThroughPoint)
+                     else circle_point(spec.v, self.radius)
+                     for spec in self.line_specs)
+
+    @property
+    def m_primes(self) -> tuple[Point, ...]:
+        return tuple(_pair_point(pair, self.radius) for pair in self.m_prime_pairs)
 
     @property
     def common_point(self) -> Point | None:
@@ -204,12 +256,12 @@ class InscribedConfig(Frozen):
 
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""
-        return self.vertices[(i - 1) % self.n]
+        return circle_point(self.params[(i - 1) % self.n], self.radius)
 
 
 def vertex_lines(cfg: InscribedConfig) -> tuple[Line, ...]:
     """The lines d_1 .. d_n."""
-    return tuple(line_through(a, p) for a, p in zip(cfg.vertices, cfg.line_points))
+    return tuple(map(line_through, cfg.vertices, cfg.line_points))
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
@@ -218,24 +270,37 @@ def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
     This is the square of the chord-ratio product; squared distances
     keep it rational and exact.
     """
-    return _chord_ratio_product(cfg, cfg.m_primes)
+    return _chord_ratio_product(cfg, cfg.m_prime_pairs)
 
 
 def _chord_ratio_product(cfg: InscribedConfig, apexes) -> Fraction:
     """Product over i of |P_i A_{i+s}|^2 / |P_i A_{i+s+t}|^2, where P_i is
-    the i-th of ``apexes``."""
-    vertices = cfg.vertices
+    the circle point of the i-th pair of ``apexes``."""
+    pairs = cfg.param_pairs
     n = cfg.n
-    product = Fraction(1)
-    for i, apex in enumerate(apexes, start=1):
-        product *= _chord_ratio(apex, vertices[idx_shift(i, cfg.s, n) - 1],
-                                vertices[idx_shift(i, cfg.s + cfg.t, n) - 1])
-    return product
+    s, st = cfg.s, cfg.s + cfg.t
+    num = den = 1
+    for i, apex in enumerate(apexes):
+        near, far = _chord_ratio(apex, pairs[(i + s) % n], pairs[(i + st) % n])
+        num *= near
+        den *= far
+    return Fraction(num, den)
 
 
-def _chord_ratio(apex: Point, near: Point, far: Point) -> Fraction:
-    """|apex near|^2 / |apex far|^2."""
-    return distance_squared(apex, near) / distance_squared(apex, far)
+def _chord_ratio(apex: Pair, near: Pair, far: Pair) -> tuple[int, int]:
+    """|apex near|^2 / |apex far|^2 for circle points given by parameter
+    pairs, as an unreduced integer (numerator, denominator).
+
+    |[p1 : q1] [p2 : q2]|^2 = 4 r^2 (p1 q2 - p2 q1)^2
+    / ((p1^2 + q1^2)(p2^2 + q2^2)); in the ratio 4 r^2 and the apex's
+    p^2 + q^2 cancel.
+    """
+    p, q = apex
+    p_n, q_n = near
+    p_f, q_f = far
+    c_n = p * q_n - p_n * q
+    c_f = p * q_f - p_f * q
+    return c_n * c_n * (p_f * p_f + q_f * q_f), c_f * c_f * (p_n * p_n + q_n * q_n)
 
 
 def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
@@ -255,12 +320,14 @@ def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
     """
     n = cfg.n
     j = idx_shift(i, cfg.s, n)  # validates i in 1..n
-    a_i = cfg.vertices[i - 1]
-    a_j = cfg.vertices[j - 1]
-    a_jn = cfg.vertices[idx_shift(j, 1, n) - 1]
+    pairs = cfg.param_pairs
+    a_j = pairs[j - 1]
+    a_jn = pairs[j % n]
     ratio = cfg.factors[(i - 1) * cfg.t].value
-    return ratio * ratio == (_chord_ratio(cfg.m_primes[i - 1], a_j, a_jn)
-                             * _chord_ratio(a_i, a_j, a_jn))
+    m_num, m_den = _chord_ratio(cfg.m_prime_pairs[i - 1], a_j, a_jn)
+    a_num, a_den = _chord_ratio(pairs[i - 1], a_j, a_jn)
+    return (ratio.numerator ** 2 * m_den * a_den
+            == ratio.denominator ** 2 * m_num * a_num)
 
 
 def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
@@ -269,30 +336,36 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
     Because i+s+t = i-s mod n, every chord appears once in a numerator
     and once in a denominator, so the product is exactly 1.
     """
-    return _chord_ratio_product(cfg, cfg.vertices)
+    return _chord_ratio_product(cfg, cfg.param_pairs)
 
 
 class InscribedReport(Frozen):
-    """Both sides of the squared identity plus the raw signed product
-    ``lhs``, and ``expected``, the value that pins lhs, or None if none."""
+    """Both sides of the squared identity for ``config`` plus the raw
+    signed product ``lhs``, and ``expected``, the value that pins lhs, or
+    None if none.  ``factors`` and ``m_prime_points`` are the config's."""
 
-    _fields = ("lhs", "lhs_squared", "rhs_squared", "holds", "m_prime_points",
-               "factors", "expected")
+    _fields = ("config", "lhs", "lhs_squared", "rhs_squared", "holds",
+               "expected")
+    config: InscribedConfig
     lhs: Fraction
     lhs_squared: Fraction
     rhs_squared: Fraction
     holds: bool
-    m_prime_points: tuple[Point, ...]
-    factors: tuple[Factor, ...]
     expected: Fraction | None
 
-    def __init__(self, lhs: Fraction, lhs_squared: Fraction,
-                 rhs_squared: Fraction, holds: bool,
-                 m_prime_points: tuple[Point, ...], factors: tuple[Factor, ...],
+    def __init__(self, config: InscribedConfig, lhs: Fraction,
+                 lhs_squared: Fraction, rhs_squared: Fraction, holds: bool,
                  expected: Fraction | None):
         self.__dict__.update(zip(self._fields, (
-            lhs, lhs_squared, rhs_squared, holds, m_prime_points, factors,
-            expected)))
+            config, lhs, lhs_squared, rhs_squared, holds, expected)))
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        return self.config.factors
+
+    @property
+    def m_prime_points(self) -> tuple[Point, ...]:
+        return self.config.m_primes
 
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
@@ -300,9 +373,8 @@ def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
     lhs = math.prod((f.value for f in cfg.factors), start=Fraction(1))
     lhs_squared = lhs * lhs
     rhs_squared = inscribed_chord_product_squared(cfg)
-    return InscribedReport(lhs, lhs_squared, rhs_squared,
-                           lhs_squared == rhs_squared, cfg.m_primes,
-                           cfg.factors, None)
+    return InscribedReport(cfg, lhs, lhs_squared, rhs_squared,
+                           lhs_squared == rhs_squared, None)
 
 
 def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
@@ -316,10 +388,10 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
         raise NotConcurrent("vertex lines do not share one common point")
     report = inscribed_identity_report(cfg)
     expected = Fraction(-1) ** cfg.n
-    return InscribedReport(report.lhs, report.lhs_squared, report.rhs_squared,
+    return InscribedReport(cfg, report.lhs, report.lhs_squared,
+                           report.rhs_squared,
                            report.holds and report.lhs == expected
-                           and report.rhs_squared == 1,
-                           report.m_prime_points, report.factors, expected)
+                           and report.rhs_squared == 1, expected)
 
 
 def inscribed_opposite_side_check(cfg: InscribedConfig) -> InscribedReport:

@@ -27,6 +27,7 @@ from .circle import (
     inscribed_identity_report,
 )
 from .configio import (
+    MAX_BYTES,
     CounterexampleInput,
     ceva_run_report,
     counterexample_run_report,
@@ -130,6 +131,13 @@ def _print_pretty(report: dict) -> None:
     print(f"holds    {'yes' if report['holds'] else 'NO'}")
 
 
+def _read(path: Path) -> bytes:
+    """The config file, read up to one byte past MAX_BYTES: a longer file
+    is rejected by parse_config without being read in full."""
+    with path.open("rb") as f:
+        return f.read(MAX_BYTES + 1)
+
+
 def _verify_report(parsed) -> dict:
     if isinstance(parsed, CevaConfig):
         return ceva_run_report(parsed, ceva_product(parsed))
@@ -147,7 +155,7 @@ def _verify_report(parsed) -> dict:
 def _cmd_verify(args, pretty: bool) -> int:
     """Both ``verify`` and ``counterexample``; the latter takes only
     counterexample configs."""
-    parsed = parse_config(args.config.read_bytes())
+    parsed = parse_config(_read(args.config))
     if (args.command == "counterexample"
             and not isinstance(parsed, CounterexampleInput)):
         raise ConfigError("counterexample subcommand needs a config of "
@@ -176,7 +184,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    parsed = parse_config(args.config.read_bytes())
+    parsed = parse_config(_read(args.config))
     try:
         if isinstance(parsed, CevaConfig):
             doc = _lazy("render_ceva_svg")(parsed)

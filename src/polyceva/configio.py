@@ -58,6 +58,12 @@ class CounterexampleInput(Frozen):
 # x86-64 VM, Python 3.11.7), an inscribed one in at most that.
 MAX_WORK = 1_200_000_000
 
+# Longest document parse_config decodes, in bytes (in characters for a
+# str).  The digit and vertex limits admit documents of up to about 1.6 MB
+# in compact JSON (an inscribed 256-gon whose through-points and
+# parameters all have 1000-digit parts); the rest is room for whitespace.
+MAX_BYTES = 4 * 2**20
+
 ParsedConfig = Union[CevaConfig, InscribedConfig, CounterexampleInput]
 
 _FIELDS = {
@@ -142,8 +148,11 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
 
     Returns a fully validated CevaConfig or InscribedConfig, or the raw
     CounterexampleInput (validated for shape; the geometric work happens
-    in the builder).
+    in the builder).  A document longer than MAX_BYTES is rejected
+    before it is decoded.
     """
+    if len(data) > MAX_BYTES:
+        raise InvariantViolation(f"config is longer than {MAX_BYTES} bytes")
     try:
         doc = json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:

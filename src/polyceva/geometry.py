@@ -193,7 +193,11 @@ def signed_area2(p: Point, q: Point, r: Point) -> Fraction:
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
-def homogeneous(p: Point) -> tuple[int, int, int]:
+# Integer homogeneous coordinates (X, Y, W) of the point (X/W, Y/W), W > 0.
+Homogeneous = tuple[int, int, int]
+
+
+def homogeneous(p: Point) -> Homogeneous:
     """Integer homogeneous coordinates (X, Y, W) of p, with x = X/W,
     y = Y/W and W > 0 the least common denominator of x and y."""
     dx = p.x.denominator

@@ -113,9 +113,10 @@ def _figure(vertices, lines, dots, radius=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _meets(cfg) -> list:
-    """Labelled dots at the side crossings of a ceva or inscribed config."""
-    return [(crossing_point(cfg.vertices, f), "meet",
+def _meets(cfg, vertices) -> list:
+    """Labelled dots at the side crossings of a ceva or inscribed config
+    with these vertices."""
+    return [(crossing_point(vertices, f), "meet",
              f"M{f.j}" if cfg.t == 1 else f"M{f.i},{f.j}") for f in cfg.factors]
 
 
@@ -126,14 +127,16 @@ def _dots(points, style: str, label: str) -> list:
 def render_ceva_svg(cfg: CevaConfig) -> str:
     return _figure(cfg.vertices,
                    [line_through(v, cfg.pivot) for v in cfg.vertices],
-                   [*_meets(cfg), *_dots(cfg.vertices, "vertex", "A"),
+                   [*_meets(cfg, cfg.vertices), *_dots(cfg.vertices, "vertex", "A"),
                     (cfg.pivot, "pivot", "M")])
 
 
 def render_inscribed_svg(cfg: InscribedConfig) -> str:
-    return _figure(cfg.vertices, vertex_lines(cfg),
-                   [*_meets(cfg), *_dots(cfg.m_primes, "meet", "M&#8242;"),
-                    *_dots(cfg.vertices, "vertex", "A")], cfg.radius)
+    # An inscribed config builds its Points on each access.
+    vertices = cfg.vertices
+    return _figure(vertices, vertex_lines(cfg),
+                   [*_meets(cfg, vertices), *_dots(cfg.m_primes, "meet", "M&#8242;"),
+                    *_dots(vertices, "vertex", "A")], cfg.radius)
 
 
 def render_counterexample_svg(vertices, pivot: Point) -> str:

@@ -1,26 +1,36 @@
-"""Exact reference for the side factors: the literal crossing-point
-definition.
+"""Exact reference for the side factors and chord ratios, from Points.
 
 For each vertex line and side-line the crossing M_ij is found with
 intersect_lines, the general-position checks are made at that point, and
 the factor is directed_ratio(M_ij, A_j, A_{j+1}).  It shares no formula
 with the area-principle kernel (polyceva.ceva.side_factors), which never
-builds the crossing point.  The second circle point M'_i comes from the
-line's coefficients by the sum of the roots of the substituted quadratic,
-not from the kernel's chord construction.
+builds the crossing point.  Circle points come from the half-angle
+formula in Fractions, the second circle point M'_i from the secant's
+direction, and every chord ratio from squared distances between those
+Points; polyceva.circle computes all three in integer parameter pairs
+and builds no Point for them.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from polyceva.ceva import Factor, idx_shift, sides_hit
-from polyceva.circle import SecondParam, circle_point
+from polyceva.circle import SecondParam
 from polyceva.errors import (
     CoincidentLines,
     DegenerateConfig,
     ParallelLines,
     Tangent,
 )
-from polyceva.geometry import Point, directed_ratio, intersect_lines, line_through
+from polyceva.geometry import (
+    Point,
+    directed_ratio,
+    distance_squared,
+    intersect_lines,
+    line_through,
+)
 
 
 def crossing_factor(vertices, a_i, p, i, j) -> Factor:
@@ -36,22 +46,28 @@ def crossing_factor(vertices, a_i, p, i, j) -> Factor:
     return Factor(i, j, directed_ratio(m, a_j, a_jn))
 
 
-def second_circle_point(line, known):
-    """The other point where ``line`` meets the circle x^2 + y^2 = r^2
-    through ``known``.  Substituting the line a x + b y + c = 0 gives a
-    quadratic whose roots sum to a rational expression in a, b, c; a
-    double root means the line is tangent at ``known``."""
-    a, b, c = line.a, line.b, line.c
-    if a != 0:
-        # x = -(b y + c)/a:  (a^2 + b^2) y^2 + 2 b c y + c^2 - a^2 r^2 = 0.
-        y = -2 * b * c / (a * a + b * b) - known.y
-        other = Point(-(b * y + c) / a, y)
-    else:
-        # y = -c/b:  x^2 = r^2 - (c/b)^2, roots x and -x.
-        other = Point(-known.x, known.y)
-    if other == known:
-        raise Tangent(f"line {line} is tangent at {known}")
-    return other
+def circle_point(u: Fraction, r: Fraction) -> Point:
+    """u -> (r(1 - u^2)/(1 + u^2), 2ru/(1 + u^2))."""
+    return Point(r * (1 - u * u) / (1 + u * u), 2 * r * u / (1 + u * u))
+
+
+def chord_end(known: Point, through: Point) -> Point:
+    """Second circle point of the secant from the circle point ``known``
+    through ``through``; the circle is centred at the origin."""
+    # Parametrize as known + k * dir; the quadratic in k has roots 0 and
+    # -2(known . dir)/|dir|^2.
+    dir_x = through.x - known.x
+    dir_y = through.y - known.y
+    dot = known.x * dir_x + known.y * dir_y
+    if dot == 0:
+        raise Tangent(f"line {line_through(known, through)} is tangent at {known}")
+    k = -2 * dot / (dir_x * dir_x + dir_y * dir_y)
+    return Point(known.x + k * dir_x, known.y + k * dir_y)
+
+
+def chord_ratio(apex: Point, near: Point, far: Point) -> Fraction:
+    """|apex near|^2 / |apex far|^2."""
+    return distance_squared(apex, near) / distance_squared(apex, far)
 
 
 def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
@@ -75,7 +91,7 @@ def inscribed_factors(radius, params, specs, s, t):
             p = m_prime = circle_point(spec.v, radius)
         else:
             p = spec.point
-            m_prime = second_circle_point(line_through(a_i, p), a_i)
+            m_prime = chord_end(a_i, p)
         for k in {idx_shift(i, s, n), idx_shift(i, s + 1, n),
                   idx_shift(i, s + t, n)}:
             if m_prime == vertices[k - 1]:
@@ -84,3 +100,25 @@ def inscribed_factors(radius, params, specs, s, t):
                     for j in sides_hit(i, s, t, n)]
         m_primes.append(m_prime)
     return tuple(factors), tuple(m_primes)
+
+
+def inscribed_chords(radius, params, specs, s, t):
+    """The chord product squared, the chord telescoping product squared
+    and the similar-triangles verdict at each vertex of a structurally
+    valid inscribed draw."""
+    factors, m_primes = inscribed_factors(radius, params, specs, s, t)
+    vertices = [circle_point(u, radius) for u in params]
+    n = len(vertices)
+
+    def product(apexes):
+        return math.prod((chord_ratio(apex, vertices[(i + s) % n],
+                                      vertices[(i + s + t) % n])
+                          for i, apex in enumerate(apexes)),
+                         start=Fraction(1))
+
+    similar = tuple(
+        factors[i * t].value ** 2
+        == chord_ratio(m_primes[i], vertices[(i + s) % n], vertices[(i + s + 1) % n])
+        * chord_ratio(vertices[i], vertices[(i + s) % n], vertices[(i + s + 1) % n])
+        for i in range(n))
+    return product(m_primes), product(vertices), similar

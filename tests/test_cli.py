@@ -161,6 +161,20 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_file_over_byte_limit_read_in_part(self, capsys, monkeypatch,
+                                               tmp_path):
+        from polyceva.configio import MAX_BYTES
+        seen = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda data: seen.append(len(data)) or parse(data))
+        path = tmp_path / "long.json"
+        path.write_bytes(TRIANGLE.read_bytes() + b" " * (3 * MAX_BYTES))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: config is longer than {MAX_BYTES} bytes\n"
+        assert seen == [MAX_BYTES + 1]
+
     def test_degenerate_exits_three(self, capsys, tmp_path):
         doc = json.loads(TRIANGLE.read_text())
         doc["M"] = ["0", "2"]

@@ -12,6 +12,7 @@ import polyceva.configio
 from polyceva.ceva import MAX_VERTICES, CevaConfig
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.configio import (
+    MAX_BYTES,
     MAX_WORK,
     CounterexampleInput,
     config_to_dict,
@@ -312,3 +313,35 @@ class TestListLimit:
         with pytest.raises(InvariantViolation, match="2s \\+ t = n violated"):
             parse_config(self.doc("vertices", [[str(k), str(k * k)] for k in
                                                range(MAX_VERTICES)]))
+
+
+class TestByteLimit:
+    """A document longer than MAX_BYTES is rejected before json.loads,
+    so its cost does not grow with its length."""
+
+    def test_cap_covers_the_largest_admitted_doc_twice(self):
+        part = "-" + "9" * 1000 + "/" + "9" * 1000
+        doc = {"kind": "inscribed", "radius": part[1:],
+               "params": [part] * MAX_VERTICES,
+               "lines": [{"through": [part, part]}] * MAX_VERTICES,
+               "s": 127, "t": 2}
+        assert 2 * len(dumps(doc)) <= MAX_BYTES
+
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    def test_long_doc_never_decoded(self, monkeypatch, encode):
+        class NoJson:
+            @staticmethod
+            def loads(*args, **kwargs):
+                raise AssertionError("json.loads ran")
+        monkeypatch.setattr(polyceva.configio, "json", NoJson)
+        doc = dumps(TRIANGLE_DOC) + " " * (MAX_BYTES - len(dumps(TRIANGLE_DOC)) + 1)
+        with pytest.raises(InvariantViolation) as exc:
+            parse_config(doc.encode() if encode else doc)
+        assert str(exc.value) == f"config is longer than {MAX_BYTES} bytes"
+
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    def test_doc_at_the_cap_is_parsed(self, encode):
+        doc = dumps(TRIANGLE_DOC) + " " * (MAX_BYTES - len(dumps(TRIANGLE_DOC)))
+        assert len(doc) == MAX_BYTES
+        cfg = parse_config(doc.encode() if encode else doc)
+        assert cfg == parse_config(dumps(TRIANGLE_DOC))

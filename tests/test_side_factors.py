@@ -1,11 +1,14 @@
-"""The area-principle kernel against the exact crossing-point oracle.
+"""The area-principle kernel and the parameter-form chord ratios against
+the exact Point-based oracle.
 
 Raw seeded draws, degenerate ones included, go through both; every
-factor, every DegenerateConfig (reason, i, j) and every Tangent must
-agree.  Draws that fail a structural invariant are skipped: they never
-reach either side-ratio computation.  Large-operand draws (about 300
-digits per numerator and denominator, n up to 12) check the integer
-scale factors of the kernel, which small bounds can hide.
+factor, every chord product, every DegenerateConfig (reason, i, j) and
+every Tangent must agree.  Draws that fail a structural invariant are
+skipped: they never reach either computation.  Large-operand draws
+(about 300 digits per numerator and denominator, n up to 12) check the
+integer scale factors of the kernel, which small bounds can hide.
+Aimed draws put a second circle point on purpose at (-r, 0), the one
+point with no finite parameter, on a vertex, or make a line tangent.
 """
 
 import random
@@ -15,11 +18,23 @@ from fractions import Fraction as F
 import pytest
 
 from polyceva.ceva import CevaConfig, side_factors
-from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
+from polyceva.circle import (
+    InscribedConfig,
+    SecondParam,
+    ThroughPoint,
+    chord_telescoping_squared,
+    inscribed_chord_product_squared,
+    similar_triangles_relation,
+)
 from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
-from polyceva.geometry import AffineMap, Point, affine_apply
+from polyceva.geometry import AffineMap, Point, affine_apply, homogeneous
 
-from _exact_oracle import ceva_factors, inscribed_factors
+from _exact_oracle import (
+    ceva_factors,
+    circle_point,
+    inscribed_chords,
+    inscribed_factors,
+)
 
 # Parts of about 300 digits: far apart denominators give every point its
 # own homogeneous weight W.
@@ -93,8 +108,8 @@ def test_ceva_kernel_matches_oracle(bound):
         except InvariantViolation:
             continue
         assert kernel == _outcome(ceva_factors, vertices, pivot, s, t)
-        assert kernel == _outcome(side_factors, vertices, [pivot] * len(vertices),
-                                  s, t)
+        assert kernel == _outcome(side_factors, [homogeneous(v) for v in vertices],
+                                  [homogeneous(pivot)] * len(vertices), s, t)
         _tally(seen, kernel)
     assert seen["valid"] > 20 and seen["degenerate"] > 0
 
@@ -196,3 +211,66 @@ def test_inscribed_kernel_matches_oracle_large_operands(concurrent):
         assert kernel == _outcome(inscribed_factors, *draw)
         _tally(seen, kernel)
     assert seen["valid"] > 10 and seen["degenerate"] > 0
+
+
+def _kernel_chords(radius, params, specs, s, t):
+    cfg = InscribedConfig(radius, params, specs, s, t)
+    return (inscribed_chord_product_squared(cfg), chord_telescoping_squared(cfg),
+            tuple(similar_triangles_relation(cfg, i) for i in range(1, cfg.n + 1)))
+
+
+def _aimed_draw(draw, rng, aim):
+    """The draw with one line i replaced by a line through A_i aimed so
+    that M'_i is (-r, 0), or the vertex A_{i+s}, or so that the line is
+    tangent at A_i.  Its through-point is a random point of that line."""
+    radius, params, specs, s, t = draw
+    n = len(params)
+    i = rng.randrange(n)
+    a_i = circle_point(params[i], radius)
+    if aim == "antipode":
+        target = Point(-radius, 0)
+    elif aim == "vertex":
+        target = circle_point(params[(i + s) % n], radius)
+    else:
+        target = a_i + Point(-a_i.y, a_i.x)
+    k = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    through = ThroughPoint(a_i + (target - a_i).scaled(k))
+    return radius, params, specs[:i] + (through,) + specs[i + 1:], s, t
+
+
+def _chord_draws(rng, big):
+    """(aim, draw) pairs: plain and concurrent draws, aim None, each
+    non-concurrent one followed by an aimed copy; small draws, or ones
+    with ~300-digit parts."""
+    for k in range(30 if big else 120):
+        concurrent = k % 4 == 3
+        if big:
+            draw = _big_inscribed_draw(rng, concurrent, degenerate=k % 2 == 1)
+        else:
+            draw = _inscribed_draw(rng, rng.choice([2, 10]), concurrent)
+        yield None, draw
+        if not concurrent:
+            aim = ("antipode", "vertex", "tangent")[k % 3]
+            yield aim, _aimed_draw(draw, rng, aim)
+
+
+@pytest.mark.parametrize("big, least", [(False, 10), (True, 3)],
+                         ids=["small", "large_operands"])
+def test_chord_ratios_match_oracle(big, least):
+    rng = random.Random(f"chord-oracle:{big}")
+    seen = Counter()
+    for aim, draw in _chord_draws(rng, big):
+        try:
+            kernel = _outcome(_kernel_chords, *draw)
+        except InvariantViolation:
+            continue
+        assert kernel == _outcome(inscribed_chords, *draw)
+        _tally(seen, kernel)
+        if isinstance(kernel[0], F):
+            assert kernel[1] == 1 and all(kernel[2])
+            cfg = InscribedConfig(*draw)
+            seen["antipode"] += Point(-cfg.radius, 0) in cfg.m_primes
+        elif aim is not None:
+            seen[f"{aim}:{kernel[0]}"] += 1
+    assert seen["valid"] > 4 * least and seen["antipode"] > least
+    assert seen["vertex:degenerate"] > least and seen["tangent:tangent"] > least

@@ -70,7 +70,7 @@ def test_equality_and_hash_follow_the_fields():
 
 @pytest.mark.parametrize("build, stored", [
     (triangle_config, ("factors",)),
-    (inscribed_config, ("vertices", "line_points", "m_primes", "factors")),
+    (inscribed_config, ("param_pairs", "m_prime_pairs", "factors")),
 ])
 def test_stored_results_are_left_out(build, stored):
     """Configs that differ only in what construction stored are equal,
