@@ -39,6 +39,7 @@ from .geometry import (
     Point,
     RationalLike,
     as_rational,
+    format_rational,
     homogeneous,
     line_through,
 )
@@ -160,7 +161,8 @@ class InscribedConfig(Frozen):
         d["s"] = s
         d["t"] = t
         if radius <= 0:
-            raise InvariantViolation(f"radius must be positive, got {radius}")
+            raise InvariantViolation(
+                f"radius must be positive, got {format_rational(radius)}")
         n = len(params)
         validate_split(n, s, t)
         if any(a >= b for a, b in zip(params, params[1:])):
@@ -178,7 +180,8 @@ class InscribedConfig(Frozen):
             if isinstance(spec, SecondParam):
                 if spec.v in params:
                     raise InvariantViolation(
-                        f"line {i}: second parameter {spec.v} is a vertex parameter")
+                        f"line {i}: second parameter {format_rational(spec.v)} "
+                        "is a vertex parameter")
                 pair = (spec.v.numerator, spec.v.denominator)
                 lines.append((_pair_triple(pair, a, b), pair))
             elif isinstance(spec, ThroughPoint):

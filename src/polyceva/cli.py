@@ -15,6 +15,7 @@ aligned factor table instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
@@ -93,6 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     svg.add_argument("config", type=Path)
     svg.add_argument("--out", type=Path, required=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process: parse_args keeps no state between calls, and building the
+    parser costs far more than using it."""
+    return build_parser()
 
 
 def _output_flags(sub: argparse.ArgumentParser) -> None:
@@ -201,7 +210,7 @@ def _cmd_svg(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     pretty = getattr(args, "pretty", False) and not getattr(args, "force_json", False)
     try:
         if args.command in ("verify", "counterexample"):

@@ -50,12 +50,16 @@ class CounterexampleInput(Frozen):
         d["seed"] = seed
 
 
-# Most work one config may ask of the kernel, in side factors times
-# (B + 120)^2, B being the bit length of its largest operand: a factor's
-# exact products cost about B^2, and its fixed overhead about as much as
-# 120 more bits.  MAX_VERTICES and MAX_DIGITS alone admit inputs that run
-# for minutes; at this limit a ceva config verifies in 1.0-1.5 s (2-core
-# x86-64 VM, Python 3.11.7), an inscribed one in at most that.
+# Most work one config may ask of the kernel.  Each of its n*t side
+# factors costs (B + 120)^2 units to build, B being the bit length of its
+# largest operand: its exact products cost about B^2, and its fixed
+# overhead about as much as 120 more bits.  Multiplying the factors out
+# costs n * P^2 / 10 units more per factor, P being the operand bits one
+# vertex adds to the product (B for a ceva config): the running product
+# grows to about n * P bits, and each factor is multiplied into it.
+# MAX_VERTICES and MAX_DIGITS alone admit inputs that run for minutes; at
+# this limit a config verifies in at most about 1.5 s (2-core x86-64 VM,
+# Python 3.11.7).
 MAX_WORK = 1_200_000_000
 
 # Longest document parse_config decodes, in bytes (in characters for a
@@ -131,12 +135,14 @@ def _bits(*values: Fraction) -> int:
                 for v in values), default=0)
 
 
-def _check_work(n: int, t: int, bits: int) -> None:
+def _check_work(n: int, t: int, bits: int, product_bits: int) -> None:
     """Raise InvariantViolation when the n*t side factors of a config
-    whose largest operand has ``bits`` bits would cost over MAX_WORK."""
+    whose largest operand has ``bits`` bits, and their product, to which
+    each vertex adds ``product_bits`` bits of operands, would cost over
+    MAX_WORK."""
     # Any other t is an invalid split, which the constructor reports.
     factors = n * t if 0 < t < n else 0
-    work = factors * (bits + 120) ** 2
+    work = factors * ((bits + 120) ** 2 + n * product_bits ** 2 // 10)
     if work > MAX_WORK:
         raise InvariantViolation(
             f"config needs {work} units of work ({factors} factors with "
@@ -173,8 +179,8 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         vertices = _points(doc, "vertices")
         pivot = _point(doc.get("M"), "M")
         s, t = _int(doc, "s"), _int(doc, "t")
-        _check_work(len(vertices), t,
-                    _bits(*(c for p in (*vertices, pivot) for c in (p.x, p.y))))
+        bits = _bits(*(c for p in (*vertices, pivot) for c in (p.x, p.y)))
+        _check_work(len(vertices), t, bits, bits)
         return CevaConfig(vertices, pivot, s, t)
     if kind == "inscribed":
         if "radius" not in doc:
@@ -186,14 +192,16 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
             _entries(doc.get("lines"), "lines", "line specs")))
         s, t = _int(doc, "s"), _int(doc, "t")
         # A circle point of parameter p/q on radius a/b has parts
-        # a(q^2 - p^2), 2apq and b(q^2 + p^2).
-        circle_bits = 2 * _bits(*params, *(spec.v for spec in specs
-                                          if isinstance(spec, SecondParam)))
+        # a(q^2 - p^2), 2apq and b(q^2 + p^2).  A through-point's own
+        # parts, up to twice its bits at a common denominator, enter the
+        # second circle point of its line and so the chord products.
+        circle_bits = _bits(radius) + 2 * _bits(
+            *params, *(spec.v for spec in specs if isinstance(spec, SecondParam)))
         through_bits = _bits(*(c for spec in specs
                                if isinstance(spec, ThroughPoint)
                                for c in (spec.point.x, spec.point.y)))
-        _check_work(len(params), t,
-                    max(circle_bits + _bits(radius), through_bits))
+        _check_work(len(params), t, max(circle_bits, through_bits),
+                    circle_bits + 2 * through_bits)
         return InscribedConfig(radius, params, specs, s, t)
     vertices = _points(doc, "vertices")
     if len(vertices) != 5:

@@ -36,8 +36,7 @@ RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 
-# Longest numerator or denominator parse_rational accepts, in digits;
-# below Python's own int conversion limit of 4300.
+# Longest numerator or denominator parse_rational accepts, in digits.
 MAX_DIGITS = 1000
 
 
@@ -64,19 +63,53 @@ def parse_rational(text: str) -> Fraction:
     if any(part and len(part) > MAX_DIGITS for part in match.groups()):
         raise InvalidRational(
             f"rational has more than {MAX_DIGITS} digits in a part")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InvalidRational(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    digits, den_digits = match.groups()
+    num = _from_decimal(digits)
+    if text[0] == "-":
+        num = -num
+    if den_digits is None:
+        return Fraction(num)
+    den = _from_decimal(den_digits)
+    if den == 0:
+        raise InvalidRational(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     """Serialize to "p/q", or "p" when the denominator is 1."""
+    num = _to_decimal(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{_to_decimal(value.denominator)}"
+
+
+# Python limits int <-> str conversion to sys.get_int_max_str_digits()
+# digits (4300 by default, settable down to 640), so longer numbers go
+# through in pieces of at most _CHUNK digits.  _CHUNK_BITS is the
+# largest bit length whose values all have at most _CHUNK digits.
+_CHUNK = 600
+_CHUNK_BITS = 1993
+
+
+def _from_decimal(digits: str) -> int:
+    """int(digits) for a string of ASCII digits of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return (_from_decimal(digits[:-low]) * 10 ** low
+            + _from_decimal(digits[-low:]))
+
+
+def _to_decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _to_decimal(-n)
+    # About half of n's digits (log10(2) ~ 0.30103), so high is nonzero.
+    low = n.bit_length() * 30103 // 200000
+    high, rest = divmod(n, 10 ** low)
+    return _to_decimal(high) + _to_decimal(rest).zfill(low)
 
 
 class Point(Frozen):

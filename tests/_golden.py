@@ -48,22 +48,33 @@ CASES = _cases()
 
 def run_case(name: str) -> tuple[int, str, str]:
     """Exit code, pinned output and stderr of one case."""
-    argv = CASES[name]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(argv: list[str]) -> tuple[int, str, str]:
+        proc = subprocess.run([sys.executable, "-m", "polyceva", *argv],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return pinned(name, run)
+
+
+def pinned(name: str, run) -> tuple[int, str, str]:
+    """Exit code, pinned output and stderr of one case, where
+    ``run(argv)`` runs the CLI from the repository root and returns its
+    exit code, stdout and stderr."""
+    argv = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
         figure = Path(tmp) / "figure.svg"
         if argv[0] == "svg":
             argv = [*argv, "--out", str(figure)]
-        proc = subprocess.run([sys.executable, "-m", "polyceva", *argv],
-                              cwd=ROOT, env=env, capture_output=True, text=True)
-        out = proc.stdout
+        code, out, err = run(argv)
         if argv[0] == "svg" and figure.exists():
             out = figure.read_text()
-    if argv[0] == "fuzz" and proc.returncode in (0, 1):
+    if argv[0] == "fuzz" and code in (0, 1):
         report = json.loads(out)
         del report["elapsed_seconds"]
         out = json.dumps(report, indent=2) + "\n"
-    return proc.returncode, out, proc.stderr
+    return code, out, err
 
 
 def expected(name: str) -> tuple[int, str, str]:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -205,6 +206,63 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError('kernel fault\\nsecond line')\n"
+
+
+def _thousand_digit_triangle(tmp_path) -> Path:
+    """A ceva triangle whose parts all have 1000 digits, the most
+    parse_rational takes; its factors have over 4300."""
+    rnd = random.Random(2026)
+
+    def part() -> str:
+        num, den = (rnd.randrange(10 ** 999, 10 ** 1000) for _ in range(2))
+        return f"{num}/{den}"
+
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "kind": "ceva", "vertices": [[part(), part()] for _ in range(3)],
+        "M": [part(), part()], "s": 1, "t": 1}))
+    return path
+
+
+class TestIntStringLimit:
+    """Decimal conversion does not depend on Python's int-string limit
+    (4300 digits by default, PYTHONINTMAXSTRDIGITS down to 640)."""
+
+    def test_thousand_digit_triangle_verifies(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify",
+                                 str(_thousand_digit_triangle(tmp_path)))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["holds"] is True
+        assert max(len(p) for f in report["factors"]
+                   for p in f["value"].split("/")) > 4300
+
+    def test_same_bytes_at_the_lowest_limit(self, capsys, tmp_path):
+        path = _thousand_digit_triangle(tmp_path)
+        cli.main(["verify", str(path)])
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-m", "polyceva", "verify", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
+
+    def test_long_part_in_a_message_at_the_lowest_limit(self, tmp_path):
+        radius = "-" + "9" * 1000
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps({
+            "kind": "inscribed", "radius": radius, "params": ["0", "1", "2"],
+            "lines": [{"second_param": "5"}] * 3, "s": 1, "t": 1}))
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-m", "polyceva", "verify", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: radius must be positive, got {radius}\n"
 
 
 class TestCounterexampleCommand:

@@ -209,10 +209,26 @@ class TestRoundTrip:
         assert config_to_dict(cfg)["M"] == ["4/3", "4/3"]
 
 
-def _largest_bits(factors: int) -> int:
-    """Largest operand bit length MAX_WORK admits for a config with this
-    many side factors: factors * (bits + 120)^2 <= MAX_WORK."""
-    return math.isqrt(MAX_WORK // factors) - 120
+def _work(n: int, t: int, bits: int, product_bits: int) -> int:
+    """The work estimate restated: n*t side factors of (bits + 120)^2
+    each, plus n * product_bits^2 / 10 each for multiplying them out."""
+    return n * t * ((bits + 120) ** 2 + n * product_bits ** 2 // 10)
+
+
+def _largest_bits(n: int, t: int) -> int:
+    """Largest operand bit length MAX_WORK admits for a ceva config with
+    n vertices and this t, whose product operands have as many bits."""
+    bits = 0
+    while _work(n, t, bits + 1, bits + 1) <= MAX_WORK:
+        bits += 1
+    return bits
+
+
+def _reject_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+    monkeypatch.setattr(polyceva.ceva, "side_factors", kernel)
+    monkeypatch.setattr(polyceva.circle, "side_factors", kernel)
 
 
 class TestWorkBudget:
@@ -221,7 +237,7 @@ class TestWorkBudget:
     there takes about a second."""
 
     N = 40
-    BITS = _largest_bits(40 * 38)
+    BITS = _largest_bits(40, 38)
 
     def ceva_doc(self, bits: int) -> str:
         """Largest operand: a denominator of exactly ``bits`` bits."""
@@ -236,19 +252,17 @@ class TestWorkBudget:
         params = [str(k) for k in range(self.N)]
         params[-1] = str(2 ** (bits // 2 - 1))
         return dumps({"kind": "inscribed", "radius": "1", "params": params,
-                      "lines": [{"through": ["1/3", "1/5"]}] * self.N,
+                      "lines": [{"second_param": "1/3"}] * self.N,
                       "s": 1, "t": self.N - 2})
 
     def test_boundary(self):
-        assert self.N * (self.N - 2) * (self.BITS + 120) ** 2 <= MAX_WORK
-        assert self.N * (self.N - 2) * (self.BITS + 121) ** 2 > MAX_WORK
+        assert _work(self.N, self.N - 2, self.BITS, self.BITS) <= MAX_WORK
+        assert _work(self.N, self.N - 2, self.BITS + 1, self.BITS + 1) > MAX_WORK
+        assert self.BITS == 370
 
     @pytest.mark.parametrize("make", ["ceva_doc", "inscribed_doc"])
     def test_over_budget_rejected_before_the_kernel(self, monkeypatch, make):
-        def kernel(*args):
-            raise AssertionError("the kernel ran")
-        monkeypatch.setattr(polyceva.ceva, "side_factors", kernel)
-        monkeypatch.setattr(polyceva.circle, "side_factors", kernel)
+        _reject_kernel(monkeypatch)
         doc = getattr(self, make)(self.BITS + 1)
         with pytest.raises(InvariantViolation, match=f"over the limit of {MAX_WORK}"):
             parse_config(doc)
@@ -268,10 +282,47 @@ class TestWorkBudget:
     def test_message_names_estimate_and_limit(self):
         with pytest.raises(InvariantViolation) as exc:
             parse_config(self.ceva_doc(self.BITS + 1))
-        work = 1520 * (self.BITS + 121) ** 2
+        work = _work(self.N, self.N - 2, self.BITS + 1, self.BITS + 1)
         assert str(exc.value) == (
             f"config needs {work} units of work (1520 factors with "
             f"{self.BITS + 1}-bit operands), over the limit of {MAX_WORK}")
+
+    def test_product_term_rejects_a_long_polygon(self, monkeypatch):
+        """An inscribed 255-gon with t = 1 and a ~290-digit parameter: its
+        255 side factors alone fit the budget, multiplying them out does
+        not (unpriced, verify took 10-13 s here)."""
+        _reject_kernel(monkeypatch)
+        params = [str(k) for k in range(254)] + [str(10 ** 289)]
+        doc = {"kind": "inscribed", "radius": "1", "params": params,
+               "lines": [{"second_param": "1/3"}] * 255, "s": 127, "t": 1}
+        bits = 1 + 2 * (10 ** 289).bit_length()
+        assert 255 * (bits + 120) ** 2 <= MAX_WORK < _work(255, 1, bits, bits)
+        with pytest.raises(InvariantViolation) as exc:
+            parse_config(dumps(doc))
+        assert str(exc.value).startswith(
+            f"config needs {_work(255, 1, bits, bits)} units of work "
+            f"(255 factors with {bits}-bit operands)")
+
+    def test_through_points_count_twice_in_products(self, monkeypatch):
+        """A through-point's parts enter the chord products at a common
+        denominator, twice their bits: the smallest such part that puts
+        a 63-gon over budget would pass if counted once."""
+        _reject_kernel(monkeypatch)
+        circle_bits = 1 + 2 * 6  # radius 1, parameters 0 .. 62
+        through = next(b for b in range(1, 4000)
+                       if _work(63, 1, max(circle_bits, b), circle_bits + 2 * b)
+                       > MAX_WORK)
+        assert _work(63, 1, through, circle_bits + through) <= MAX_WORK
+        doc = {"kind": "inscribed", "radius": "1",
+               "params": [str(k) for k in range(63)],
+               "lines": [{"through": [f"1/{2 ** (through - 1)}", "1/3"]}] * 63,
+               "s": 31, "t": 1}
+        with pytest.raises(InvariantViolation, match="units of work"):
+            parse_config(dumps(doc))
+        doc["lines"] = [{"through": [f"1/{2 ** (through - 2)}", "1/3"]}] * 63
+        monkeypatch.setattr(polyceva.configio, "InscribedConfig",
+                            lambda *args: "built")
+        assert parse_config(dumps(doc)) == "built"
 
 
 class TestListLimit:

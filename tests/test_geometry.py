@@ -1,10 +1,11 @@
 """Kernel tests: exact predicates, constructions, and their invariants."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyceva.errors import (
     CoincidentLines,
@@ -76,6 +77,33 @@ class TestRationalWire:
     def test_format(self):
         assert format_rational(F(3, 1)) == "3"
         assert format_rational(F(-1, 2)) == "-1/2"
+
+    def test_format_past_the_int_string_limit(self):
+        """Python's int-to-str conversion stops at 4300 digits by default;
+        format_rational does not."""
+        assert format_rational(F(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+        assert format_rational(F(-(10 ** 9000), 7)) == "-1" + "0" * 9000 + "/7"
+        assert format_rational(F(1, 10 ** 5000 + 1)) == "1/1" + "0" * 4999 + "1"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit on this interpreter")
+    @settings(max_examples=60)
+    @given(st.integers(1, 12_000), st.integers(1, 12_000), st.randoms())
+    def test_format_matches_unlimited_str(self, num_digits, den_digits, rnd):
+        num = rnd.randrange(-10 ** num_digits, 10 ** num_digits)
+        den = rnd.randrange(1, 10 ** den_digits)
+        value = F(num, den)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert format_rational(value) == want
+
+    def test_largest_parts_round_trip(self):
+        text = "-" + "9" * MAX_DIGITS + "/1" + "0" * (MAX_DIGITS - 1)
+        assert format_rational(parse_rational(text)) == text
 
 
 class TestLineThrough:

@@ -35,15 +35,19 @@ ALL = [
 ]
 
 
-def modules_after(statement: str) -> set[str]:
-    """Modules a fresh interpreter holds after running statement."""
+def _run(code: str) -> str:
+    """Stdout of a fresh interpreter running code from the repository root."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
-    return set(proc.stdout.split())
+                          text=True, env=env, timeout=60, check=True, cwd=ROOT)
+    return proc.stdout
+
+
+def modules_after(statement: str) -> set[str]:
+    """Modules a fresh interpreter holds after running statement."""
+    return set(_run(f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))").split())
 
 
 def test_cli_import_loads_only_what_verify_needs():
@@ -71,3 +75,30 @@ def test_every_exported_name_resolves():
     assert set(ALL) <= set(namespace)
     assert polyceva.Point is polyceva.geometry.Point
     assert polyceva.fuzz_ceva is polyceva.fuzz.fuzz_ceva
+
+
+def test_cli_import_builds_no_parser():
+    out = _run("import argparse\n"
+               "built = []\n"
+               "init = argparse.ArgumentParser.__init__\n"
+               "def counted(self, *args, **kwargs):\n"
+               "    built.append(1)\n"
+               "    init(self, *args, **kwargs)\n"
+               "argparse.ArgumentParser.__init__ = counted\n"
+               "import polyceva.cli\n"
+               "print(len(built))\n")
+    assert out == "0\n"
+
+
+def test_parser_built_once_per_process():
+    out = _run("import contextlib, io\n"
+               "import polyceva.cli as cli\n"
+               "calls = []\n"
+               "build = cli.build_parser\n"
+               "cli.build_parser = lambda: calls.append(1) or build()\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    codes = [cli.main(['verify', 'configs/triangle_centroid.json']),\n"
+               "             cli.main(['--pretty', 'verify', 'configs/square_pivot.json']),\n"
+               "             cli.main(['fuzz', '--trials', '0'])]\n"
+               "print(codes, len(calls))\n")
+    assert out == "[0, 0, 0] 1\n"
