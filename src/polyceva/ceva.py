@@ -128,6 +128,7 @@ class Factor(Frozen):
     j: int
     value: Fraction
 
+    # Built n*t times per config: this takes half the inherited one's time.
     def __init__(self, i: int, j: int, value: Fraction):
         d = self.__dict__
         d["i"] = i
@@ -143,14 +144,6 @@ class ProductReport(Frozen):
     product: Fraction
     expected: Fraction
     holds: bool
-
-    def __init__(self, factors: tuple[Factor, ...], product: Fraction,
-                 expected: Fraction, holds: bool):
-        d = self.__dict__
-        d["factors"] = factors
-        d["product"] = product
-        d["expected"] = expected
-        d["holds"] = holds
 
     @staticmethod
     def from_factors(factors: Sequence[Factor], expected: Fraction) -> "ProductReport":
@@ -333,14 +326,6 @@ class Counterexample(Frozen):
     branch: str
     product: Fraction
     concurrent: bool
-
-    def __init__(self, vertices: tuple[Point, ...], pivot: Point,
-                 cevians: tuple[Line, ...], meet_points: tuple[Point, ...],
-                 ratios: tuple[Fraction, ...], K: Fraction, branch: str,
-                 product: Fraction, concurrent: bool):
-        self.__dict__.update(zip(self._fields, (
-            vertices, pivot, cevians, meet_points, ratios, K, branch, product,
-            concurrent)))
 
 
 def build_converse_counterexample(pentagon: Sequence[Point],

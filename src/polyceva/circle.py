@@ -114,9 +114,6 @@ class ThroughPoint(Frozen):
     _fields = ("point",)
     point: Point
 
-    def __init__(self, point: Point):
-        self.__dict__["point"] = point
-
 
 LineSpec = Union[SecondParam, ThroughPoint]
 
@@ -356,12 +353,6 @@ class InscribedReport(Frozen):
     holds: bool
     expected: Fraction | None
 
-    def __init__(self, config: InscribedConfig, lhs: Fraction,
-                 lhs_squared: Fraction, rhs_squared: Fraction, holds: bool,
-                 expected: Fraction | None):
-        self.__dict__.update(zip(self._fields, (
-            config, lhs, lhs_squared, rhs_squared, holds, expected)))
-
     @property
     def factors(self) -> tuple[Factor, ...]:
         return self.config.factors
@@ -373,11 +364,7 @@ class InscribedReport(Frozen):
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
     """Verify lhs^2 = rhs^2 exactly for an inscribed configuration."""
-    lhs = math.prod((f.value for f in cfg.factors), start=Fraction(1))
-    lhs_squared = lhs * lhs
-    rhs_squared = inscribed_chord_product_squared(cfg)
-    return InscribedReport(cfg, lhs, lhs_squared, rhs_squared,
-                           lhs_squared == rhs_squared, None)
+    return _identity_report(cfg, None)
 
 
 def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
@@ -389,12 +376,19 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
     """
     if cfg.common_point is None:
         raise NotConcurrent("vertex lines do not share one common point")
-    report = inscribed_identity_report(cfg)
-    expected = Fraction(-1) ** cfg.n
-    return InscribedReport(cfg, report.lhs, report.lhs_squared,
-                           report.rhs_squared,
-                           report.holds and report.lhs == expected
-                           and report.rhs_squared == 1, expected)
+    return _identity_report(cfg, Fraction(-1) ** cfg.n)
+
+
+def _identity_report(cfg: InscribedConfig,
+                     expected: Fraction | None) -> InscribedReport:
+    """The report on cfg, lhs pinned to ``expected`` unless it is None."""
+    lhs = math.prod((f.value for f in cfg.factors), start=Fraction(1))
+    lhs_squared = lhs * lhs
+    rhs_squared = inscribed_chord_product_squared(cfg)
+    holds = lhs_squared == rhs_squared
+    if expected is not None:
+        holds = holds and lhs == expected and rhs_squared == 1
+    return InscribedReport(cfg, lhs, lhs_squared, rhs_squared, holds, expected)
 
 
 def inscribed_opposite_side_check(cfg: InscribedConfig) -> InscribedReport:

@@ -43,12 +43,6 @@ class CounterexampleInput(Frozen):
     pivot: Point
     seed: int
 
-    def __init__(self, vertices: tuple[Point, ...], pivot: Point, seed: int):
-        d = self.__dict__
-        d["vertices"] = vertices
-        d["pivot"] = pivot
-        d["seed"] = seed
-
 
 # Most work one config may ask of the kernel.  Each of its n*t side
 # factors costs (B + 120)^2 units to build, B being the bit length of its

@@ -1,12 +1,14 @@
 """Base class of polyceva's immutable value classes.
 
-A subclass lists its compared fields, in order, in ``_fields`` and sets
-every attribute in its own ``__init__`` by writing to ``self.__dict__``
-(twice as fast as ``object.__setattr__``).
-``repr``, ``==`` and ``hash`` use exactly those fields, so a result a
-constructor stores beyond them (computed once, at construction) is left
-out of all three.  After construction, assigning or deleting any
-attribute raises AttributeError.
+A subclass lists its compared fields, in order, in ``_fields``.  The
+inherited constructor takes one positional value per field and stores
+them as they are; a subclass that checks or converts its arguments, or
+stores results beyond its fields, writes its own ``__init__`` that sets
+each attribute in ``self.__dict__`` (twice as fast as
+``object.__setattr__``).  ``repr``, ``==`` and ``hash`` use exactly the
+fields, so a result a constructor stores beyond them (computed once, at
+construction) is left out of all three.  After construction, assigning
+or deleting any attribute raises AttributeError.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ class Frozen:
             cls._values = property(lambda self: (getattr(self, name),))
         else:
             cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes "
+                            f"{len(self._fields)} values, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

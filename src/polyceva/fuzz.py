@@ -5,6 +5,11 @@ seeded from both, so any trial can be regenerated in isolation.
 Degenerate draws are rejected and redrawn, never perturbed; a draw that
 fails validation could mask a kernel bug if nudged onto a valid nearby
 configuration.
+
+Every kind runs through one rejection loop (`_draw`), which calls a
+per-kind builder until it stops raising, and one batch loop (`_fuzz`),
+which records each (check, expected, actual) a per-kind check yields
+and builds the FuzzReport once, after the last trial.
 """
 
 from __future__ import annotations
@@ -91,11 +96,6 @@ class FuzzFailure(Frozen):
     actual: str
     config: dict
 
-    def __init__(self, trial: int, seed: int, check: str, expected: str,
-                 actual: str, config: dict):
-        self.__dict__.update(zip(self._fields, (
-            trial, seed, check, expected, actual, config)))
-
     def to_dict(self) -> dict:
         """The fields as a plain dict; ``config`` is a deep copy."""
         return {"trial": self.trial, "seed": self.seed, "check": self.check,
@@ -109,7 +109,8 @@ class FuzzReport(Frozen):
     failures is empty iff every completed trial satisfied its identity
     exactly; rejections counts resampled degenerate draws across all
     trials (trials whose sampling budget ran out are simply skipped and
-    do not count as completed).
+    do not count as completed).  ``failures`` is a list, so a report is
+    unhashable.
     """
 
     _fields = ("kind", "trials_requested", "trials_completed", "rejections",
@@ -120,22 +121,6 @@ class FuzzReport(Frozen):
     rejections: int
     failures: list[FuzzFailure]
     elapsed_seconds: float
-
-    # A report is filled in while its trials run: unlike the other value
-    # classes it is mutable, and so unhashable.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, kind: str, trials_requested: int, trials_completed: int,
-                 rejections: int, failures: list[FuzzFailure] | None = None,
-                 elapsed_seconds: float = 0.0):
-        self.kind = kind
-        self.trials_requested = trials_requested
-        self.trials_completed = trials_completed
-        self.rejections = rejections
-        self.failures = [] if failures is None else failures
-        self.elapsed_seconds = elapsed_seconds
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "trials_requested": self.trials_requested,
@@ -166,98 +151,130 @@ def _draw_shape(rng: random.Random, params: GenParams) -> tuple[int, int, int]:
     return n, s, n - 2 * s
 
 
-def _gen_ceva(params: GenParams, trial: int) -> tuple[CevaConfig | None, int]:
+def _build_ceva(rng: random.Random, params: GenParams) -> CevaConfig:
+    n, s, t = _draw_shape(rng, params)
+    vertices = tuple(_rand_point(rng, params.coordinate_bound)
+                     for _ in range(n))
+    pivot = _rand_point(rng, params.coordinate_bound)
+    return CevaConfig(vertices, pivot, s, t)
+
+
+def _build_inscribed(rng: random.Random, params: GenParams,
+                     concurrent: bool) -> InscribedConfig:
+    bound = params.coordinate_bound
+    n, s, t = _draw_shape(rng, params)
+    radius = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+    values: set[Fraction] = set()
+    for _ in range(64 * n):
+        values.add(_rand_rational(rng, bound))
+        if len(values) == n:
+            break
+    else:
+        raise InvariantViolation(f"no {n} distinct parameters drawn")
+    us = tuple(sorted(values))
+    if concurrent:
+        specs: tuple = tuple([ThroughPoint(_rand_point(rng, bound))] * n)
+    else:
+        drawn: list[SecondParam] = []
+        for _ in range(n):
+            for _ in range(64):
+                v = _rand_rational(rng, bound)
+                if v not in values:
+                    drawn.append(SecondParam(v))
+                    break
+        if len(drawn) < n:
+            raise InvariantViolation("no second parameters off the vertices")
+        specs = tuple(drawn)
+    return InscribedConfig(radius, us, specs, s, t)
+
+
+def _draw(build, params: GenParams, trial: int, *args):
+    """(config, rejections): the first of up to max_rejections + 1 draws
+    ``build(rng, params, *args)`` from the trial's RNG that does not
+    raise, with the number of draws rejected before it, or (None,
+    max_rejections + 1) when every draw is rejected."""
     rng = _trial_rng(params.seed, trial)
-    rejections = 0
-    for _ in range(params.max_rejections + 1):
-        n, s, t = _draw_shape(rng, params)
-        vertices = tuple(_rand_point(rng, params.coordinate_bound)
-                         for _ in range(n))
-        pivot = _rand_point(rng, params.coordinate_bound)
+    for rejections in range(params.max_rejections + 1):
         try:
-            return CevaConfig(vertices, pivot, s, t), rejections
-        except (InvariantViolation, DegenerateConfig):
-            rejections += 1
-    return None, rejections
+            return build(rng, params, *args), rejections
+        except (InvariantViolation, DegenerateConfig, Tangent):
+            pass
+    return None, params.max_rejections + 1
+
+
+def _generate(build, what: str, params: GenParams, trial: int, *args):
+    cfg, _ = _draw(build, params, trial, *args)
+    if cfg is None:
+        raise GenerationExhausted(
+            f"no valid {what} config within {params.max_rejections} rejections")
+    return cfg
 
 
 def gen_ceva_config(params: GenParams, trial: int) -> CevaConfig:
     """Deterministic random polygon-with-pivot configuration."""
-    cfg, _ = _gen_ceva(params, trial)
-    if cfg is None:
-        raise GenerationExhausted(
-            f"no valid polygon config within {params.max_rejections} rejections")
-    return cfg
-
-
-def _gen_inscribed(params: GenParams, trial: int,
-                   concurrent: bool = False) -> tuple[InscribedConfig | None, int]:
-    rng = _trial_rng(params.seed, trial)
-    bound = params.coordinate_bound
-    rejections = 0
-    for _ in range(params.max_rejections + 1):
-        n, s, t = _draw_shape(rng, params)
-        radius = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-        values: set[Fraction] = set()
-        for _ in range(64 * n):
-            values.add(_rand_rational(rng, bound))
-            if len(values) == n:
-                break
-        if len(values) < n:
-            rejections += 1
-            continue
-        us = tuple(sorted(values))
-        if concurrent:
-            specs: tuple = tuple([ThroughPoint(_rand_point(rng, bound))] * n)
-        else:
-            drawn: list[SecondParam] = []
-            for _ in range(n):
-                for _ in range(64):
-                    v = _rand_rational(rng, bound)
-                    if v not in values:
-                        drawn.append(SecondParam(v))
-                        break
-            if len(drawn) < n:
-                rejections += 1
-                continue
-            specs = tuple(drawn)
-        try:
-            return InscribedConfig(radius, us, specs, s, t), rejections
-        except (InvariantViolation, DegenerateConfig, Tangent):
-            rejections += 1
-    return None, rejections
+    return _generate(_build_ceva, "polygon", params, trial)
 
 
 def gen_inscribed_config(params: GenParams, trial: int,
                          concurrent: bool = False) -> InscribedConfig:
     """Deterministic random inscribed configuration; with ``concurrent``
     every vertex line passes through one random common point."""
-    cfg, _ = _gen_inscribed(params, trial, concurrent)
-    if cfg is None:
-        raise GenerationExhausted(
-            f"no valid inscribed config within {params.max_rejections} rejections")
-    return cfg
+    return _generate(_build_inscribed, "inscribed", params, trial, concurrent)
+
+
+def _ceva_checks(cfg: CevaConfig):
+    result = ceva_product(cfg)
+    if not result.holds:
+        yield ("signed_product", format_rational(result.expected),
+               format_rational(result.product))
+
+
+def _inscribed_checks(cfg: InscribedConfig, concurrent: bool):
+    if concurrent:
+        result = concurrent_secants_check(cfg)
+    else:
+        result = inscribed_identity_report(cfg)
+    if result.lhs_squared != result.rhs_squared:
+        yield ("squared_identity", format_rational(result.rhs_squared),
+               format_rational(result.lhs_squared))
+    telescoped = chord_telescoping_squared(cfg)
+    if telescoped != 1:
+        yield "chord_telescoping", "1", format_rational(telescoped)
+    for i in range(1, cfg.n + 1):
+        if not similar_triangles_relation(cfg, i):
+            yield f"similar_triangles[{i}]", "equal", "unequal"
+    if concurrent and (result.lhs != result.expected
+                       or result.rhs_squared != 1):
+        yield ("concurrent_sign", f"{format_rational(result.expected)} and 1",
+               f"{format_rational(result.lhs)} and "
+               f"{format_rational(result.rhs_squared)}")
+
+
+def _fuzz(kind: str, params: GenParams, trials: int, build, checks,
+          *args) -> FuzzReport:
+    """Draw each trial's config with ``build`` and record every
+    (check, expected, actual) that ``checks(cfg, *args)`` yields."""
+    start = time.perf_counter()
+    completed = rejections = 0
+    failures: list[FuzzFailure] = []
+    for trial in range(trials):
+        cfg, rejected = _draw(build, params, trial, *args)
+        rejections += rejected
+        if cfg is None:
+            continue
+        completed += 1
+        found = list(checks(cfg, *args))
+        if found:
+            doc = config_to_dict(cfg)
+            failures += [FuzzFailure(trial, params.seed, *failure, doc)
+                         for failure in found]
+    return FuzzReport(kind, trials, completed, rejections, failures,
+                      time.perf_counter() - start)
 
 
 def fuzz_ceva(params: GenParams, trials: int) -> FuzzReport:
     """Check the (-1)^n product identity on random polygon configs."""
-    start = time.perf_counter()
-    report = FuzzReport("ceva", trials, 0, 0)
-    for trial in range(trials):
-        cfg, rej = _gen_ceva(params, trial)
-        report.rejections += rej
-        if cfg is None:
-            continue
-        report.trials_completed += 1
-        result = ceva_product(cfg)
-        if not result.holds:
-            report.failures.append(FuzzFailure(
-                trial, params.seed, "signed_product",
-                format_rational(result.expected),
-                format_rational(result.product),
-                config_to_dict(cfg)))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return _fuzz("ceva", params, trials, _build_ceva, _ceva_checks)
 
 
 def fuzz_inscribed(params: GenParams, trials: int,
@@ -265,40 +282,6 @@ def fuzz_inscribed(params: GenParams, trials: int,
     """Check the inscribed squared identity plus its supporting facts on
     random configs; with ``concurrent`` also pin the sign and the chord
     magnitude."""
-    start = time.perf_counter()
     kind = "concurrent" if concurrent else "inscribed"
-    report = FuzzReport(kind, trials, 0, 0)
-    for trial in range(trials):
-        cfg, rej = _gen_inscribed(params, trial, concurrent)
-        report.rejections += rej
-        if cfg is None:
-            continue
-        report.trials_completed += 1
-        doc = None
-
-        def fail(check: str, expected: str, actual: str) -> None:
-            nonlocal doc
-            if doc is None:
-                doc = config_to_dict(cfg)
-            report.failures.append(
-                FuzzFailure(trial, params.seed, check, expected, actual, doc))
-
-        if concurrent:
-            result = concurrent_secants_check(cfg)
-        else:
-            result = inscribed_identity_report(cfg)
-        if result.lhs_squared != result.rhs_squared:
-            fail("squared_identity", format_rational(result.rhs_squared),
-                 format_rational(result.lhs_squared))
-        telescoped = chord_telescoping_squared(cfg)
-        if telescoped != 1:
-            fail("chord_telescoping", "1", format_rational(telescoped))
-        for i in range(1, cfg.n + 1):
-            if not similar_triangles_relation(cfg, i):
-                fail(f"similar_triangles[{i}]", "equal", "unequal")
-        if concurrent and not result.holds:
-            fail("concurrent_sign", f"{format_rational(result.expected)} and 1",
-                 f"{format_rational(result.lhs)} and "
-                 f"{format_rational(result.rhs_squared)}")
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return _fuzz(kind, params, trials, _build_inscribed, _inscribed_checks,
+                 concurrent)

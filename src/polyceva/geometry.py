@@ -112,6 +112,16 @@ def _to_decimal(n: int) -> str:
     return _to_decimal(high) + _to_decimal(rest).zfill(low)
 
 
+def _exact_repr(self) -> str:
+    """The Frozen repr of a value whose fields are all Fractions, each
+    spelled Fraction(n, d) through _to_decimal: error messages embed
+    Points and Lines, whose parts may exceed the int-string limit."""
+    fields = ", ".join(
+        f"{name}=Fraction({_to_decimal(v.numerator)}, {_to_decimal(v.denominator)})"
+        for name, v in zip(self._fields, self._values))
+    return f"{type(self).__qualname__}({fields})"
+
+
 class Point(Frozen):
     """Exact point in the plane."""
 
@@ -123,6 +133,8 @@ class Point(Frozen):
         d = self.__dict__
         d["x"] = as_rational(x)
         d["y"] = as_rational(y)
+
+    __repr__ = _exact_repr
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -161,6 +173,8 @@ class Line(Frozen):
         d["a"] = a
         d["b"] = b
         d["c"] = c
+
+    __repr__ = _exact_repr
 
     def value_at(self, p: Point) -> Fraction:
         """Exact value of a*x + b*y + c at p; zero iff p lies on the line."""

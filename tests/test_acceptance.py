@@ -6,6 +6,7 @@ guards sign conventions rather than precision.  Each criterion prints a
 PASS/FAIL line (visible with pytest -s or in captured output).
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -19,8 +20,8 @@ from polyceva.ceva import (
     line_value_antisymmetry,
     opposite_vertex_product,
 )
-from polyceva.errors import DegenerateConfig, DivisionByZero
-from polyceva.fuzz import GenParams, _gen_ceva, fuzz_ceva, fuzz_inscribed
+from polyceva.errors import DegenerateConfig, DivisionByZero, GenerationExhausted
+from polyceva.fuzz import GenParams, fuzz_ceva, fuzz_inscribed, gen_ceva_config
 from polyceva.geometry import AffineMap, affine_apply, signed_area2
 
 from _float_oracle import float_ceva_product
@@ -34,12 +35,12 @@ def report(number: int, description: str, ok: bool) -> None:
 
 def gen_stream(params: GenParams):
     """Valid configs from consecutive trials, skipping exhausted ones."""
-    trial = 0
-    while True:
-        cfg, _ = _gen_ceva(params, trial)
-        trial += 1
-        if cfg is not None:
-            yield cfg
+    for trial in itertools.count():
+        try:
+            cfg = gen_ceva_config(params, trial)
+        except GenerationExhausted:
+            continue
+        yield cfg
 
 
 def test_c01_product_identity_fuzz():

@@ -8,7 +8,12 @@ import pytest
 import polyceva.circle
 import polyceva.fuzz
 from polyceva.ceva import MAX_VERTICES, CevaConfig, ProductReport
-from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
+from polyceva.circle import (
+    InscribedConfig,
+    InscribedReport,
+    SecondParam,
+    ThroughPoint,
+)
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
     MAX_BOUND,
@@ -241,3 +246,17 @@ class TestFailureRecords:
                      ("chord_telescoping", "1", "3"),
                      ("similar_triangles[2]", "equal", "unequal"),
                      ("concurrent_sign", "-1 and 1", "-1 and 4"))
+
+    def test_concurrent_sign_alone(self, monkeypatch):
+        """A wrong sign with both squared facts intact is one record."""
+        check = polyceva.fuzz.concurrent_secants_check
+
+        def negated(cfg):
+            report = check(cfg)
+            return InscribedReport(cfg, -report.lhs, report.lhs_squared,
+                                   report.rhs_squared, False, report.expected)
+
+        monkeypatch.setattr(polyceva.fuzz, "concurrent_secants_check", negated)
+        assert _comparable(fuzz_inscribed(FALSIFIED, 1, concurrent=True)) == \
+            _records("concurrent", CONCURRENT_DOC,
+                     ("concurrent_sign", "-1 and 1", "1 and 1"))

@@ -1,5 +1,6 @@
 """Layering rules: no polyceva module imports another module's private
-names, none uses dataclasses, and only svgout.py computes in floats."""
+names, none uses dataclasses, only Frozen defines how a value is
+assigned, deleted or hashed, and only svgout.py computes in floats."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,27 @@ def test_no_dataclasses(path):
     assert "dataclasses" not in imported
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_frozen_defines_mutation_and_hash(path):
+    """Every value class is immutable and hashable by its fields alone."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = [f"{node.name}.{name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name != "Frozen"
+               for item in node.body
+               for name in _defined_names(item)
+               if name in ("__setattr__", "__delattr__", "__hash__")]
+    assert defined == []
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a class-body statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 # math names whose value is a float.  Integer-valued ones (floor, ceil,
 # gcd, lcm, isqrt, prod, comb, ...) stay allowed.
 FLOAT_MATH = {
@@ -42,24 +64,10 @@ FLOAT_MATH = {
     "nan", "nextafter", "pi", "pow", "radians", "remainder", "sin", "sinh",
     "sqrt", "tan", "tanh", "tau", "ulp",
 }
-# The one float outside svgout.py: FuzzReport's wall-clock
-# elapsed_seconds, whose default is 0.0.  It is never compared.
-FLOAT_DEFAULTS = {"fuzz.py": {"elapsed_seconds"}}
 
 
-def _float_uses(tree: ast.AST, allowed_defaults=frozenset()) -> list[str]:
-    """float() calls, float-valued math names and float literals, by line,
-    except the defaults of the parameters named in allowed_defaults."""
-    allowed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            pairs = [*zip(positional[len(positional) - len(args.defaults):],
-                          args.defaults),
-                     *zip(args.kwonlyargs, args.kw_defaults)]
-            allowed |= {id(default) for arg, default in pairs
-                        if arg.arg in allowed_defaults}
+def _float_uses(tree: ast.AST) -> list[str]:
+    """float() calls, float-valued math names and float literals, by line."""
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -75,8 +83,7 @@ def _float_uses(tree: ast.AST, allowed_defaults=frozenset()) -> list[str]:
             found += [f"{node.lineno}: import cmath"
                       for alias in node.names if alias.name == "cmath"]
         elif (isinstance(node, ast.Constant)
-              and isinstance(node.value, (float, complex))
-              and id(node) not in allowed):
+              and isinstance(node.value, (float, complex))):
             found.append(f"{node.lineno}: literal {node.value!r}")
     return found
 
@@ -87,7 +94,7 @@ def _float_uses(tree: ast.AST, allowed_defaults=frozenset()) -> list[str]:
 def test_no_floats_in_the_verification_path(path):
     """Only svgout.py, which lays figures out, computes in floats."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _float_uses(tree, FLOAT_DEFAULTS.get(path.name, frozenset())) == []
+    assert _float_uses(tree) == []
 
 
 def test_float_lint_finds_each_kind():
@@ -95,6 +102,6 @@ def test_float_lint_finds_each_kind():
               "def f(x, elapsed_seconds=0.0, scale=1.5):\n"
               "    return float(x) + math.hypot(x, 1) + 1e-9 + math.pi"
               " + math.gcd(2, 4)\n")
-    assert sorted(_float_uses(ast.parse(source), {"elapsed_seconds"})) == [
-        "2: from math import sqrt", "3: literal 1.5", "4: float()",
+    assert sorted(_float_uses(ast.parse(source))) == [
+        "2: from math import sqrt", "3: literal 0.0", "3: literal 1.5", "4: float()",
         "4: literal 1e-09", "4: math.hypot", "4: math.pi"]

@@ -1,4 +1,5 @@
-"""The value classes' contract: repr, equality, hash and immutability.
+"""The value classes' contract: construction, repr, equality, hash and
+immutability.
 
 Reprs reach users through error messages (a Tangent message prints a
 Line and a Point), so they are pinned exactly.
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyceva.ceva import CevaConfig, Factor
+from polyceva.ceva import CevaConfig, Factor, ProductReport
 from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
 from polyceva.fuzz import FuzzFailure, FuzzReport, GenParams
 from polyceva.geometry import Line, Point
@@ -66,6 +67,28 @@ def test_equality_and_hash_follow_the_fields():
     assert Point(0, 0) != (F(0), F(0))
     assert SecondParam(3) == SecondParam(3)
     assert hash(SecondParam(3)) == hash((F(3),))
+    with pytest.raises(TypeError):
+        hash(failing_report())  # failures is a list
+
+
+def test_point_and_line_reprs_pass_the_int_string_limit():
+    """Error messages print Points and Lines, whose parts may have more
+    digits than str(int) allows."""
+    big = "1" + "0" * 4999 + "1"
+    assert repr(Point(F(10 ** 5000 + 1, 3), 2)) == \
+        f"Point(x=Fraction({big}, 3), y=Fraction(2, 1))"
+    assert repr(Line(0, 3, -(10 ** 5000 + 1))) == \
+        f"Line(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-{big}, 3))"
+
+
+@pytest.mark.parametrize("values", [
+    (),
+    ((), F(1), F(-1)),
+    ((), F(1), F(-1), False, None),
+])
+def test_inherited_constructor_takes_one_value_per_field(values):
+    with pytest.raises(TypeError, match="ProductReport takes 4 values"):
+        ProductReport(*values)
 
 
 @pytest.mark.parametrize("build, stored", [
@@ -92,21 +115,14 @@ def test_stored_results_are_left_out(build, stored):
     (inscribed_config(), "m_primes"),
     (GenParams(), "seed"),
     (GenParams(), "not_a_field"),
+    (failing_report(), "rejections"),
+    (failing_report(), "failures"),
 ])
 def test_fields_cannot_be_assigned_or_deleted(value, name):
     with pytest.raises(AttributeError):
         setattr(value, name, 0)
     with pytest.raises(AttributeError):
         delattr(value, name)
-
-
-def test_fuzz_report_is_mutable_and_unhashable():
-    report = failing_report()
-    report.rejections += 1
-    report.failures.clear()
-    assert report == FuzzReport("inscribed", 3, 2, 2, [], 0.25)
-    with pytest.raises(TypeError):
-        hash(report)
 
 
 def test_fuzz_report_to_dict():
