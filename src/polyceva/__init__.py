@@ -36,8 +36,8 @@ _EXPORTS = {
         "InscribedConfig", "InscribedReport", "SecondParam", "ThroughPoint",
         "chord_telescoping_squared", "circle_point", "concurrent_secants_check",
         "inscribed_chord_product_squared", "inscribed_identity_report",
-        "inscribed_opposite_side_check", "second_intersection",
-        "similar_triangles_relation", "vertex_lines",
+        "inscribed_opposite_side_check", "similar_triangles_relation",
+        "vertex_lines",
     ),
     "fuzz": (
         "FuzzFailure", "FuzzReport", "GenParams", "fuzz_ceva",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AxisAligned,
@@ -85,7 +85,8 @@ class CevaConfig(Frozen):
     vertices, pivot off the vertex set, valid split) and general
     position: every required cevian-side crossing must exist and avoid
     the side's endpoints.  The n*t ratios are computed once, by that
-    check, and kept in ``factors``, which repr, == and hash leave out.
+    check, and kept in ``factors``, which repr, == and hash leave out:
+    vertex i's t ratios, in sides_hit order, are factors[(i-1)*t : i*t].
     """
 
     _fields = ("vertices", "pivot", "s", "t")
@@ -108,8 +109,12 @@ class CevaConfig(Frozen):
         d["pivot"] = pivot
         d["s"] = s
         d["t"] = t
-        d["factors"] = side_factors([homogeneous(v) for v in vertices],
-                                    [homogeneous(pivot)] * n, s, t)
+        triples = [homogeneous(v) for v in vertices]
+        m = homogeneous(pivot)
+        factors = []
+        for i in range(1, n + 1):
+            factors += side_factors(triples, i, m, s, t)
+        d["factors"] = tuple(factors)
 
     @property
     def n(self) -> int:
@@ -152,57 +157,52 @@ class ProductReport(Frozen):
                              product == expected)
 
 
-def side_factors(vertices: Sequence[Homogeneous],
-                 line_points: Iterable[Homogeneous],
-                 s: int, t: int) -> tuple[Factor, ...]:
-    """Signed side ratios of every vertex line, by the area principle.
+def side_factors(vertices: Sequence[Homogeneous], i: int,
+                 point: Homogeneous, s: int, t: int) -> list[Factor]:
+    """Signed side ratios of one vertex line, by the area principle.
 
-    The line through A_i and P_i (line_points[i-1]) crosses side-line
-    A_j A_{j+1} at M_ij with
+    The line through vertex A_i (vertices[i-1]) and a second point P
+    crosses side-line A_j A_{j+1} at M_ij with
 
-        M_ij A_j / M_ij A_{j+1} = [A_i P_i A_j] / [A_i P_i A_{j+1}],
+        M_ij A_j / M_ij A_{j+1} = [A_i P A_j] / [A_i P A_{j+1}],
 
     [.] being signed area: the signed distances of A_j and A_{j+1}
     from the line scale like their directed distances from M_ij.  Equal
     areas mean the line is parallel to (or is) the side-line; a zero
     area means the crossing is a side endpoint.  Both raise
-    DegenerateConfig.  Factors come in vertex order, each vertex's t in
-    sides_hit order, so vertex i's are factors[(i-1)*t : i*t].
-    line_points is consumed in that order, one point per vertex, so a
-    caller may interleave its own per-vertex checks; it may stop early,
-    giving factors for the first vertices only.
+    DegenerateConfig.  The t factors come in sides_hit order.
 
     Points are given as integer homogeneous triples (X, Y, W), x = X/W
     and y = Y/W, at any scale with W > 0 (geometry.homogeneous gives the
     least one), and the areas are computed in integers: the cross
-    product (a, b, c) of A_i and P_i takes the value a*X_V + b*Y_V +
-    c*W_V = W_A W_P W_V [A_i P_i V] at V, a positive multiple of the
-    area.  Each vertex line is evaluated once at each of the t + 1
-    endpoints of its sides, and a factor is the one quotient
+    product (a, b, c) of A_i and P takes the value a*X_V + b*Y_V +
+    c*W_V = W_A W_P W_V [A_i P V] at V, a positive multiple of the
+    area.  The line is evaluated once at each of the t + 1 endpoints of
+    its sides, and a factor is the one quotient
     (near * W_far) / (far * W_near), which no triple's scale changes.
     """
     n = len(vertices)
+    x_p, y_p, w_p = point
+    x_a, y_a, w_a = vertices[i - 1]
+    a = y_a * w_p - w_a * y_p
+    b = w_a * x_p - x_a * w_p
+    c = x_a * y_p - y_a * x_p
+    sides = sides_hit(i, s, t, n)
+    ends = [vertices[j - 1] for j in sides] + [vertices[sides[-1] % n]]
+    values = [a * x + b * y + c * w for x, y, w in ends]
     factors = []
-    for i, (x_p, y_p, w_p) in enumerate(line_points, start=1):
-        x_a, y_a, w_a = vertices[i - 1]
-        a = y_a * w_p - w_a * y_p
-        b = w_a * x_p - x_a * w_p
-        c = x_a * y_p - y_a * x_p
-        sides = sides_hit(i, s, t, n)
-        ends = [vertices[j - 1] for j in sides] + [vertices[sides[-1] % n]]
-        values = [a * x + b * y + c * w for x, y, w in ends]
-        for d, j in enumerate(sides):
-            near, far = values[d], values[d + 1]
-            num = near * ends[d + 1][2]
-            den = far * ends[d][2]
-            if num == den:
-                raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
-                                       "vertex line is parallel to the side-line")
-            if near == 0 or far == 0:
-                raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
-                                       "crossing lands on a side endpoint")
-            factors.append(Factor(i, j, Fraction(num, den)))
-    return tuple(factors)
+    for d, j in enumerate(sides):
+        near, far = values[d], values[d + 1]
+        num = near * ends[d + 1][2]
+        den = far * ends[d][2]
+        if num == den:
+            raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
+                                   "vertex line is parallel to the side-line")
+        if near == 0 or far == 0:
+            raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
+                                   "crossing lands on a side endpoint")
+        factors.append(Factor(i, j, Fraction(num, den)))
+    return factors
 
 
 def crossing_point(vertices: Sequence[Point], factor: Factor) -> Point:
@@ -353,8 +353,9 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         return vertices[(i - 1) % 5]
 
     # The three genuine cevians: vertex i cuts side i + 2.
-    genuine = side_factors([homogeneous(v) for v in vertices],
-                           [homogeneous(pivot)] * 3, 2, 1)
+    triples = [homogeneous(v) for v in vertices]
+    m = homogeneous(pivot)
+    genuine = [side_factors(triples, i, m, 2, 1)[0] for i in (1, 2, 3)]
     k_value = math.prod((f.value for f in genuine), start=Fraction(1))
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot

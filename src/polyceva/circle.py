@@ -74,29 +74,6 @@ def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
     return a * (q * q - p * p), 2 * a * p * q, b * (p * p + q * q)
 
 
-def second_intersection(line: Line, known: Point, r: RationalLike) -> Point:
-    """The other point where a secant meets the circle x^2 + y^2 = r^2.
-
-    ``known`` must lie on both the line and the circle.  With one
-    rational root of the substituted quadratic in hand, the second root
-    is rational by the sum-of-roots relation, so no square root is ever
-    taken.  Raises Tangent when the line only touches at ``known``.
-    """
-    r = as_rational(r)
-    if not line.contains(known):
-        raise ValueError("known point is not on the line")
-    if known.x * known.x + known.y * known.y != r * r:
-        raise ValueError("known point is not on the circle")
-    # Along known + k * (-b, a) the quadratic in k has roots 0 and
-    # -2 (known . dir) / |dir|^2.
-    dir_x, dir_y = -line.b, line.a
-    dot = known.x * dir_x + known.y * dir_y
-    if dot == 0:
-        raise Tangent(f"line {line} is tangent at {known}")
-    k = -2 * dot / (dir_x * dir_x + dir_y * dir_y)
-    return Point(known.x + k * dir_x, known.y + k * dir_y)
-
-
 class SecondParam(Frozen):
     """Vertex line given by a second circle parameter: d_i joins A_i to
     the circle point of parameter v."""
@@ -132,8 +109,10 @@ class InscribedConfig(Frozen):
     pair [p : q], the pair [1 : 0] being (-r, 0).  Construction keeps
     the vertex pairs ``param_pairs``, the pairs ``m_prime_pairs`` of the
     M'_i and the n*t side ratios ``factors``, which repr, == and hash
-    leave out.  ``vertices``, ``line_points`` (a second point P_i of each
-    d_i) and ``m_primes`` are Points built from those on each access.
+    leave out: vertex i's t ratios, in sides_hit order, are
+    factors[(i-1)*t : i*t].  ``vertices``, ``line_points`` (a second
+    point P_i of each d_i) and ``m_primes`` are Points built from those
+    on each access.
     """
 
     _fields = ("radius", "params", "line_specs", "s", "t")
@@ -198,25 +177,16 @@ class InscribedConfig(Frozen):
                               (-(dx * q + dy * p), dy * q - dx * p)))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
-        m_primes: list[Pair] = []
         d["param_pairs"] = pairs
-        d["factors"] = side_factors(
-            vertices, self._checked_line_points(lines, m_primes), s, t)
-        d["m_prime_pairs"] = tuple(m_primes)
-
-    def _checked_line_points(self, lines, m_primes: list[Pair]):
-        """Yield each P_i once M'_i is checked, appending its pair to
-        m_primes; side_factors checks vertex i's sides before asking for
-        P_{i+1}, so every vertex is checked in full before the next."""
-        pairs = self.param_pairs
-        n = self.n
-        s, t = self.s, self.t
+        # Each vertex in full before the next: its tangency, then its
+        # M'_i against the chord-ratio vertices, then its side factors.
+        factors = []
         for i, (point, (p, q)) in enumerate(lines):
             p_a, q_a = pairs[i]
             if p * q_a == p_a * q:
                 # M'_i = A_i: the line only touches the circle there.
                 a_i = self.vertex(i + 1)
-                raise Tangent(f"line {line_through(a_i, self.line_specs[i].point)} "
+                raise Tangent(f"line {line_through(a_i, line_specs[i].point)} "
                               f"is tangent at {a_i}")
             # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
             # the numerator vertex A_{i+s} must be avoided as well.
@@ -226,8 +196,9 @@ class InscribedConfig(Frozen):
                     raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i + 1,
                                            k % n + 1,
                                            "second circle point is a vertex")
-            m_primes.append((p, q))
-            yield point
+            factors += side_factors(vertices, i + 1, point, s, t)
+        d["factors"] = tuple(factors)
+        d["m_prime_pairs"] = tuple(pair for _, pair in lines)
 
     @property
     def n(self) -> int:
@@ -240,7 +211,8 @@ class InscribedConfig(Frozen):
     @property
     def line_points(self) -> tuple[Point, ...]:
         return tuple(spec.point if isinstance(spec, ThroughPoint)
-                     else circle_point(spec.v, self.radius)
+                     else _pair_point((spec.v.numerator, spec.v.denominator),
+                                      self.radius)
                      for spec in self.line_specs)
 
     @property
@@ -256,7 +228,7 @@ class InscribedConfig(Frozen):
 
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""
-        return circle_point(self.params[(i - 1) % self.n], self.radius)
+        return _pair_point(self.param_pairs[(i - 1) % self.n], self.radius)
 
 
 def vertex_lines(cfg: InscribedConfig) -> tuple[Line, ...]:

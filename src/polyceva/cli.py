@@ -155,7 +155,7 @@ def _verify_report(parsed) -> dict:
             report = inscribed_identity_report(parsed)
         else:
             report = concurrent_secants_check(parsed)
-        return inscribed_run_report(parsed, report)
+        return inscribed_run_report(report)
     assert isinstance(parsed, CounterexampleInput)
     result = build_converse_counterexample(parsed.vertices, parsed.pivot)
     return counterexample_run_report(result, parsed.seed)
@@ -204,7 +204,7 @@ def _cmd_svg(args) -> int:
                                                      parsed.pivot)
     except OverflowError as exc:
         # Figures are laid out in floats; the exact checks have no such limit.
-        raise ConfigError(f"coordinates too large to draw: {exc}") from exc
+        raise ConfigError(f"coordinates out of float range to draw: {exc}") from exc
     args.out.write_text(doc)
     return 0
 

@@ -274,7 +274,8 @@ def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
     }
 
 
-def inscribed_run_report(cfg: InscribedConfig, report: InscribedReport) -> dict:
+def inscribed_run_report(report: InscribedReport) -> dict:
+    cfg = report.config
     return {
         "kind": "inscribed",
         "n": cfg.n,

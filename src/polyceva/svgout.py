@@ -7,6 +7,8 @@ read back from the figure.  Output is deterministic for a fixed config.
 
 from __future__ import annotations
 
+import math
+
 from .ceva import CevaConfig, build_converse_counterexample, crossing_point
 from .circle import InscribedConfig, vertex_lines
 from .geometry import Line, Point, line_through
@@ -28,7 +30,11 @@ _STYLE = {
 
 
 class _Layout:
-    """Maps model coordinates into a y-flipped viewport."""
+    """Maps model coordinates into a y-flipped viewport.
+
+    Raises OverflowError when the padded extent or the scale is not a
+    finite float, so no figure holds an ``inf`` or ``nan``.
+    """
 
     def __init__(self, points: list[tuple[float, float]]):
         xs = [p[0] for p in points]
@@ -41,8 +47,12 @@ class _Layout:
         self.x1 += pad_x
         self.y0 -= pad_y
         self.y1 += pad_y
-        self.scale = (SIZE - 2 * MARGIN) / max(self.x1 - self.x0,
-                                               self.y1 - self.y0)
+        extent = max(self.x1 - self.x0, self.y1 - self.y0)
+        if not math.isfinite(extent):
+            raise OverflowError("figure extent exceeds the float range")
+        self.scale = (SIZE - 2 * MARGIN) / extent
+        if not math.isfinite(self.scale):
+            raise OverflowError("figure scale exceeds the float range")
 
     def to_view(self, x: float, y: float) -> tuple[float, float]:
         vx = MARGIN + (x - self.x0) * self.scale

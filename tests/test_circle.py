@@ -1,15 +1,19 @@
 """Engine tests for inscribed polygons: parametrized circle points,
-second intersections, and the squared product identity."""
+second circle points, and the squared product identity."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polyceva.errors import InvariantViolation, NotConcurrent, Tangent
+from polyceva.errors import (
+    DegenerateConfig,
+    InvariantViolation,
+    NotConcurrent,
+    Tangent,
+)
 from polyceva.geometry import (
     AffineMap,
-    Line,
     Point,
     affine_apply,
     distance_squared,
@@ -26,7 +30,6 @@ from polyceva.circle import (
     inscribed_chord_product_squared,
     inscribed_identity_report,
     inscribed_opposite_side_check,
-    second_intersection,
     similar_triangles_relation,
     vertex_lines,
 )
@@ -73,40 +76,6 @@ class TestCirclePoint:
         assert p.x * p.x + p.y * p.y == r * r
 
 
-class TestSecondIntersection:
-    def test_both_on_circle(self):
-        line = line_through(Point(F(1), F(0)), Point(F(0), F(1)))
-        assert second_intersection(line, Point(F(1), F(0)), 1) == Point(F(0), F(1))
-
-    def test_tangent(self):
-        with pytest.raises(Tangent):
-            second_intersection(Line(1, 0, -1), Point(F(1), F(0)), 1)
-
-    def test_hand_solved_diagonal_secant(self):
-        # Through (3/5, 4/5) with direction (1, -1): substituting the
-        # parametric point into x^2 + y^2 = 1 gives 2u(u - 1/5) = 0, so
-        # the second point is (4/5, 3/5).
-        start = Point(F(3, 5), F(4, 5))
-        line = line_through(start, Point(F(3, 5) + 1, F(4, 5) - 1))
-        assert second_intersection(line, start, 1) == Point(F(4, 5), F(3, 5))
-
-    def test_known_point_validated(self):
-        with pytest.raises(ValueError):
-            second_intersection(Line(1, 0, -1), Point(F(0), F(0)), 1)
-        with pytest.raises(ValueError):
-            second_intersection(Line(0, 1, 0), Point(F(1), F(1)), 1)
-
-    @given(rationals, rationals, radii)
-    def test_involution(self, u, v, r):
-        if u == v:
-            return
-        a = circle_point(u, r)
-        b = circle_point(v, r)
-        line = line_through(a, b)
-        assert second_intersection(line, a, r) == b
-        assert second_intersection(line, b, r) == a
-
-
 class TestInscribedConfigValidation:
     def test_params_must_increase(self):
         with pytest.raises(InvariantViolation):
@@ -144,6 +113,30 @@ class TestInscribedConfigValidation:
             InscribedConfig(F(1), (F(0), F(1), F(2)),
                             (ThroughPoint(Point(F(1), F(5))),
                              SecondParam(F(9)), SecondParam(F(-5))), 1, 1)
+
+    # Each vertex is checked in full before the next: its tangency, its
+    # second circle point, then its side crossings.
+    def test_vertex_sides_checked_before_next_tangency(self):
+        # A_1 = (0, -1), A_2 = (1, 0), A_3 = (0, 1).  Line 1 runs along
+        # (1, -1), parallel to side A_2 A_3; line 2 is the vertical
+        # tangent at A_2.
+        with pytest.raises(DegenerateConfig) as info:
+            InscribedConfig(F(1), (F(-1), F(0), F(1)),
+                            (ThroughPoint(Point(F(1), F(-2))),
+                             ThroughPoint(Point(F(1), F(5))),
+                             SecondParam(F(5))), 1, 1)
+        exc = info.value
+        assert (exc.reason, exc.i, exc.j) == (DegenerateConfig.PARALLEL, 1, 2)
+
+    def test_tangency_checked_before_next_vertex_sides(self):
+        # A_1 = (0, -1), A_2 = (1, 0), A_3 = (-3/5, 4/5).  Line 1 is the
+        # horizontal tangent at A_1; line 2 runs along (1, -3), parallel
+        # to side A_3 A_1.
+        with pytest.raises(Tangent):
+            InscribedConfig(F(1), (F(-1), F(0), F(2)),
+                            (ThroughPoint(Point(F(3), F(-1))),
+                             ThroughPoint(Point(F(2), F(-3))),
+                             SecondParam(F(5))), 1, 1)
 
     def test_vertices_in_circular_order(self):
         cfg = pentagon_config()

@@ -407,6 +407,31 @@ class TestSvgCommand:
                              str(tmp_path / "x.svg"))
         assert code == 3
 
+    # Ceva triangles that verify exactly but have no float layout: parts
+    # past the float range, a finite span whose padded extent overflows,
+    # and parts near 10^-308 whose scale overflows.
+    @pytest.mark.parametrize("vertices, pivot, cause", [
+        ([[str(10**400), "0"], ["0", "0"], ["0", str(10**400)]],
+         [f"{10**400}/3", f"{10**400}/3"], "integer division result too large"),
+        ([[str(8 * 10**307), "0"], [str(-8 * 10**307), "0"],
+          ["0", str(8 * 10**307)]],
+         ["0", f"{8 * 10**307}/3"], "figure extent exceeds the float range"),
+        ([["0", "0"], [f"4/{10**308}", "0"], ["0", f"4/{10**308}"]],
+         [f"4/{3 * 10**308}", f"4/{3 * 10**308}"],
+         "figure scale exceeds the float range"),
+    ], ids=["huge-parts", "extent", "scale"])
+    def test_no_float_layout(self, capsys, tmp_path, vertices, pivot, cause):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"kind": "ceva", "vertices": vertices,
+                                    "M": pivot, "s": 1, "t": 1}))
+        assert run_cli(capsys, "verify", str(path))[0] == 0
+        out_path = tmp_path / "far.svg"
+        code, out, err = run_cli(capsys, "svg", str(path), "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: coordinates out of float range to draw: ")
+        assert cause in err
+        assert not out_path.exists()
+
 
 @pytest.mark.parametrize("module", ["polyceva", "polyceva.cli"])
 def test_python_m_entry_point(capsys, module):

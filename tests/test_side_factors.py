@@ -108,8 +108,11 @@ def test_ceva_kernel_matches_oracle(bound):
         except InvariantViolation:
             continue
         assert kernel == _outcome(ceva_factors, vertices, pivot, s, t)
-        assert kernel == _outcome(side_factors, [homogeneous(v) for v in vertices],
-                                  [homogeneous(pivot)] * len(vertices), s, t)
+        triples = [homogeneous(v) for v in vertices]
+        m = homogeneous(pivot)
+        assert kernel == _outcome(lambda: tuple(
+            f for i in range(1, len(vertices) + 1)
+            for f in side_factors(triples, i, m, s, t)))
         _tally(seen, kernel)
     assert seen["valid"] > 20 and seen["degenerate"] > 0
 

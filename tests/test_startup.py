@@ -10,7 +10,8 @@ import polyceva
 ROOT = Path(__file__).resolve().parent.parent
 
 # polyceva.__all__: the names from before they loaded lazily, less
-# second_points and inscribed_side_product, folded since.
+# second_points and inscribed_side_product, folded since, and
+# second_intersection, which nothing called.
 ALL = [
     "AffineMap", "AxisAligned", "CevaConfig", "CoincidentLines",
     "CoincidesWithDenominatorEnd", "ConfigError", "Counterexample",
@@ -30,7 +31,7 @@ ALL = [
     "idx_shift", "inscribed_chord_product_squared", "inscribed_identity_report",
     "inscribed_opposite_side_check", "intersect_lines", "is_collinear", "line_through", "line_value_antisymmetry",
     "normalized_line_value", "opposite_vertex_product", "parse_rational",
-    "point_from_ratio", "second_intersection", "side_factors",
+    "point_from_ratio", "side_factors",
     "sides_hit", "signed_area2", "similar_triangles_relation", "vertex_lines",
 ]
 
@@ -64,7 +65,7 @@ def test_package_import_loads_no_submodule():
 
 def test_all_is_unchanged():
     assert polyceva.__all__ == ALL
-    assert len(ALL) == 75
+    assert len(ALL) == 74
 
 
 def test_every_exported_name_resolves():
