@@ -152,9 +152,45 @@ class ProductReport(Frozen):
 
     @staticmethod
     def from_factors(factors: Sequence[Factor], expected: Fraction) -> "ProductReport":
-        product = math.prod((f.value for f in factors), start=Fraction(1))
-        return ProductReport(tuple(factors), product, expected,
-                             product == expected)
+        """The report on the factors' product, decided by cross-multiplying
+        its integer pair with ``expected``; a product that differs is
+        reduced once, for output."""
+        num, den = factor_product(factors)
+        holds = num * expected.denominator == expected.numerator * den
+        product = expected if holds else Fraction(num, den)
+        return ProductReport(tuple(factors), product, expected, holds)
+
+
+def factor_product(factors: Sequence[Factor]) -> tuple[int, int]:
+    """The product of the factors' values as an integer pair (num, den),
+    den > 0, not reduced.
+
+    Each run of consecutive factors with the same vertex i is multiplied
+    as reduced pairs, cancelling across (gcd(a, d) and gcd(c, b) for
+    a/b * c/d): one vertex line's ratios telescope, so the pair stays
+    small.  The runs' pairs are then multiplied in a balanced tree of
+    plain ints, with no gcd.
+    """
+    runs = []
+    vertex = None
+    for f in factors:
+        value = f.value
+        a, b = value.numerator, value.denominator
+        if f.i == vertex:
+            c, d = runs[-1]
+            g = math.gcd(a, d)
+            h = math.gcd(c, b)
+            runs[-1] = (a // g) * (c // h), (b // h) * (d // g)
+        else:
+            runs.append((a, b))
+            vertex = f.i
+    while len(runs) > 1:
+        paired = [(a * c, b * d)
+                  for (a, b), (c, d) in zip(runs[::2], runs[1::2])]
+        if len(runs) % 2:
+            paired.append(runs[-1])
+        runs = paired
+    return runs[0] if runs else (1, 1)
 
 
 def side_factors(vertices: Sequence[Homogeneous], i: int,
@@ -356,7 +392,7 @@ def build_converse_counterexample(pentagon: Sequence[Point],
     triples = [homogeneous(v) for v in vertices]
     m = homogeneous(pivot)
     genuine = [side_factors(triples, i, m, 2, 1)[0] for i in (1, 2, 3)]
-    k_value = math.prod((f.value for f in genuine), start=Fraction(1))
+    k_value = Fraction(*factor_product(genuine))
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot
     # (or the ratio degenerates); then 2/K with the compensating -1/2.
@@ -386,7 +422,7 @@ def build_converse_counterexample(pentagon: Sequence[Point],
 
     meet_points = (m1, m2, *(crossing_point(vertices, f) for f in genuine))
     ratios = (r1, r2, *(f.value for f in genuine))
-    product = math.prod(ratios, start=Fraction(1))
+    product = r1 * r2 * k_value
     assert product == -1
 
     # The first three cevians pass through the pivot by construction.

@@ -22,7 +22,6 @@ plain cevian product and equals (-1)^n.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -43,7 +42,7 @@ from .geometry import (
     homogeneous,
     line_through,
 )
-from .ceva import Factor, idx_shift, side_factors, validate_split
+from .ceva import Factor, factor_product, idx_shift, side_factors, validate_split
 
 # A circle parameter p/q as the integer pair [p : q]; any nonzero
 # multiple names the same point.
@@ -354,7 +353,7 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
 def _identity_report(cfg: InscribedConfig,
                      expected: Fraction | None) -> InscribedReport:
     """The report on cfg, lhs pinned to ``expected`` unless it is None."""
-    lhs = math.prod((f.value for f in cfg.factors), start=Fraction(1))
+    lhs = Fraction(*factor_product(cfg.factors))
     lhs_squared = lhs * lhs
     rhs_squared = inscribed_chord_product_squared(cfg)
     holds = lhs_squared == rhs_squared

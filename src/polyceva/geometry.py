@@ -291,14 +291,29 @@ def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
     """The unique X on line AB with directed_ratio(X, A, B) = ratio.
 
     Solving (A - X) = r (B - X) gives X = (A - r B) / (1 - r); r = 1 has
-    no solution (X escapes to infinity).
+    no solution (X escapes to infinity), and A = B leaves only X = B,
+    the denominator end.  With r = p/q and a coordinate u = u_n/u_d of
+    A, v = v_n/v_d of B, each coordinate of X is the one integer
+    quotient (q u_n v_d - p v_n u_d) / ((q - p) u_d v_d), reduced once.
     """
     r = as_rational(ratio)
     if r == 1:
         raise ValueError("no finite point realizes directed ratio 1")
-    x = Point((a.x - r * b.x) / (1 - r), (a.y - r * b.y) / (1 - r))
-    assert directed_ratio(x, a, b) == r
-    return x
+    if a == b:
+        raise CoincidesWithDenominatorEnd(
+            f"ratio point {a} coincides with the denominator end")
+    p, q = r.numerator, r.denominator
+    coords = []
+    for u, v in ((a.x, b.x), (a.y, b.y)):
+        u_n, u_d = u.numerator, u.denominator
+        v_n, v_d = v.numerator, v.denominator
+        x = Fraction(q * u_n * v_d - p * v_n * u_d, (q - p) * u_d * v_d)
+        # The defining relation q (u - x) = p (v - x), cross-multiplied.
+        x_n, x_d = x.numerator, x.denominator
+        assert (q * (u_n * x_d - x_n * u_d) * v_d
+                == p * (v_n * x_d - x_n * v_d) * u_d)
+        coords.append(x)
+    return Point(*coords)
 
 
 def are_concurrent(lines: Sequence[Line]) -> bool:

@@ -2,13 +2,14 @@
 
 For each vertex line and side-line the crossing M_ij is found with
 intersect_lines, the general-position checks are made at that point, and
-the factor is directed_ratio(M_ij, A_j, A_{j+1}).  It shares no formula
-with the area-principle kernel (polyceva.ceva.side_factors), which never
-builds the crossing point.  Circle points come from the half-angle
-formula in Fractions, the second circle point M'_i from the secant's
-direction, and every chord ratio from squared distances between those
-Points; polyceva.circle computes all three in integer parameter pairs
-and builds no Point for them.
+the factor is directed_ratio(M_ij, A_j, A_{j+1}), paired with M_ij for
+polyceva.ceva.crossing_point to be checked against.  It shares no
+formula with the area-principle kernel (polyceva.ceva.side_factors),
+which never builds the crossing point.  Circle points come from the
+half-angle formula in Fractions, the second circle point M'_i from the
+secant's direction, and every chord ratio from squared distances between
+those Points; polyceva.circle computes all three in integer parameter
+pairs and builds no Point for them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from polyceva.geometry import (
 )
 
 
-def crossing_factor(vertices, a_i, p, i, j) -> Factor:
-    """Ratio at the crossing of line A_i P with side-line A_j A_{j+1}."""
+def crossing(vertices, a_i, p, i, j) -> tuple[Factor, Point]:
+    """The crossing M_ij of line A_i P with side-line A_j A_{j+1}, as
+    its ratio and the point itself."""
     a_j = vertices[j - 1]
     a_jn = vertices[j % len(vertices)]
     try:
@@ -43,7 +45,7 @@ def crossing_factor(vertices, a_i, p, i, j) -> Factor:
         raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j) from exc
     if m == a_j or m == a_jn:
         raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j)
-    return Factor(i, j, directed_ratio(m, a_j, a_jn))
+    return Factor(i, j, directed_ratio(m, a_j, a_jn)), m
 
 
 def circle_point(u: Fraction, r: Fraction) -> Point:
@@ -70,20 +72,27 @@ def chord_ratio(apex: Point, near: Point, far: Point) -> Fraction:
     return distance_squared(apex, near) / distance_squared(apex, far)
 
 
-def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
-    """Factors of a structurally valid polygon-with-pivot draw."""
+def ceva_crossings(vertices, pivot, s, t) -> tuple[tuple[Factor, Point], ...]:
+    """(factor, M_ij) of each crossing of a structurally valid
+    polygon-with-pivot draw."""
     n = len(vertices)
-    return tuple(crossing_factor(vertices, vertices[i - 1], pivot, i, j)
+    return tuple(crossing(vertices, vertices[i - 1], pivot, i, j)
                  for i in range(1, n + 1) for j in sides_hit(i, s, t, n))
 
 
-def inscribed_factors(radius, params, specs, s, t):
-    """Factors and second circle points of a structurally valid inscribed
-    draw, checked vertex by vertex: tangency, then the second point
-    landing on a vertex, then each side."""
+def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
+    """Factors of a structurally valid polygon-with-pivot draw."""
+    return tuple(f for f, _ in ceva_crossings(vertices, pivot, s, t))
+
+
+def inscribed_crossings(radius, params, specs, s, t):
+    """(factor, M_ij) of each crossing and the second circle points of a
+    structurally valid inscribed draw, checked vertex by vertex:
+    tangency, then the second point landing on a vertex, then each
+    side."""
     vertices = [circle_point(u, radius) for u in params]
     n = len(vertices)
-    factors = []
+    crossings = []
     m_primes = []
     for i, spec in enumerate(specs, start=1):
         a_i = vertices[i - 1]
@@ -96,10 +105,17 @@ def inscribed_factors(radius, params, specs, s, t):
                   idx_shift(i, s + t, n)}:
             if m_prime == vertices[k - 1]:
                 raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, k)
-        factors += [crossing_factor(vertices, a_i, p, i, j)
-                    for j in sides_hit(i, s, t, n)]
+        crossings += [crossing(vertices, a_i, p, i, j)
+                      for j in sides_hit(i, s, t, n)]
         m_primes.append(m_prime)
-    return tuple(factors), tuple(m_primes)
+    return tuple(crossings), tuple(m_primes)
+
+
+def inscribed_factors(radius, params, specs, s, t):
+    """Factors and second circle points of a structurally valid inscribed
+    draw."""
+    crossings, m_primes = inscribed_crossings(radius, params, specs, s, t)
+    return tuple(f for f, _ in crossings), m_primes
 
 
 def inscribed_chords(radius, params, specs, s, t):

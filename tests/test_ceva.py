@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from polyceva.errors import (
     AxisAligned,
@@ -14,11 +15,14 @@ from polyceva.errors import (
 from polyceva.ceva import (
     MAX_VERTICES,
     CevaConfig,
+    Factor,
+    ProductReport,
     all_sides_product,
     build_converse_counterexample,
     ceva_product,
     cevian_intersection,
     classic_ceva_product,
+    factor_product,
     idx_shift,
     line_value_antisymmetry,
     normalized_line_value,
@@ -32,9 +36,13 @@ from polyceva.geometry import (
     affine_apply,
     are_concurrent,
     directed_ratio,
+    intersect_lines,
+    line_through,
 )
-from polyceva.fuzz import GenParams, gen_ceva_config
+from polyceva.circle import inscribed_identity_report
+from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 
+from _exact_oracle import crossing
 from _float_oracle import float_ceva_product
 
 
@@ -123,6 +131,51 @@ class TestCevianIntersection:
         with pytest.raises(DegenerateConfig) as err:
             CevaConfig(quad, pt(1, 3), 1, 2)
         assert err.value.reason == DegenerateConfig.PARALLEL
+
+
+def fraction_product(factors) -> F:
+    """The verdicts' former formula, kept as their oracle."""
+    return math.prod((f.value for f in factors), start=F(1))
+
+
+values = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+# Few vertex numbers, so runs repeat an i after another one.
+factor_lists = st.lists(st.builds(Factor, st.integers(1, 4),
+                                  st.integers(1, 9), values), max_size=14)
+
+
+class TestFactorProduct:
+    @given(factor_lists, values, st.booleans())
+    @example([], F(1), False)
+    @example([], F(2), False)
+    @example([Factor(1, 3, F(2, 3)), Factor(2, 4, F(-5, 7)),
+              Factor(3, 5, F(9, 4))], F(-1), True)
+    @example([Factor(1, 2, F(4, 9)), Factor(1, 3, F(9, 2)),
+              Factor(2, 3, F(-1, 5)), Factor(1, 4, F(10, 3))], F(-1), False)
+    def test_matches_fraction_product(self, factors, other, pin):
+        exact = fraction_product(factors)
+        expected = exact if pin else other
+        report = ProductReport.from_factors(factors, expected)
+        assert report.holds == (exact == expected)
+        assert type(report.product) is F and report.product == exact
+        assert report.factors == tuple(factors)
+        num, den = factor_product(factors)
+        assert den > 0 and F(num, den) == exact
+
+    @given(st.lists(values, max_size=10))
+    def test_one_vertex_run_is_reduced(self, run):
+        num, den = factor_product([Factor(2, 1, v) for v in run])
+        assert math.gcd(num, den) == 1
+
+    def test_seeded_verdicts(self):
+        for trial in range(40):
+            cfg = gen_ceva_config(GenParams(seed=61, n_min=3, n_max=9), trial)
+            report = ceva_product(cfg)
+            assert report.holds and report.product == fraction_product(cfg.factors)
+            inscribed = gen_inscribed_config(GenParams(seed=61, n_min=3, n_max=7),
+                                             trial)
+            assert (inscribed_identity_report(inscribed).lhs
+                    == fraction_product(inscribed.factors))
 
 
 class TestCevaProduct:
@@ -410,6 +463,29 @@ class TestCounterexample:
             b = result.vertices[i % 5]
             assert directed_ratio(result.meet_points[i - 1], a, b) == \
                 result.ratios[i - 1]
+
+    def test_meet_points_are_line_intersections(self):
+        """M_j on side-line A_j A_{j+1} is where that side-line meets the
+        cevian of vertex j + 3, and M_3..M_5 are the oracle's crossings."""
+        params = GenParams(seed=59, n_min=5, n_max=5)
+        draws = [(PENTAGON, pt(2, 2))] + [
+            (cfg.vertices, cfg.pivot)
+            for cfg in (gen_ceva_config(params, trial) for trial in range(20))]
+        built = 0
+        for vertices, pivot in draws:
+            try:
+                result = build_converse_counterexample(vertices, pivot)
+            except DegenerateConfig:
+                continue
+            for j in range(1, 6):
+                side = line_through(vertices[j - 1], vertices[j % 5])
+                assert result.meet_points[j - 1] == intersect_lines(
+                    result.cevians[(j + 2) % 5], side)
+            for i in (1, 2, 3):
+                assert result.meet_points[i + 1] == crossing(
+                    vertices, vertices[i - 1], pivot, i, i + 2)[1]
+            built += 1
+        assert built >= 15
 
     def test_forced_fallback_branch(self):
         # A_5 sits on the line joining the pivot to the midpoint of

@@ -1,8 +1,11 @@
 """Kernel tests: exact predicates, constructions, and their invariants."""
 
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,8 @@ from polyceva.geometry import (
     point_from_ratio,
     signed_area2,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 points = st.builds(Point, rationals, rationals)
@@ -266,6 +271,25 @@ class TestPointFromRatio:
     def test_ratio_one_impossible(self):
         with pytest.raises(ValueError):
             point_from_ratio(pt(0, 0), pt(1, 0), 1)
+
+    def test_coincident_ends_raise(self):
+        with pytest.raises(CoincidesWithDenominatorEnd):
+            point_from_ratio(pt(2, 5), pt(2, 5), F(3, 7))
+
+    def test_coincident_ends_raise_without_asserts(self):
+        code = ("from polyceva.errors import CoincidesWithDenominatorEnd\n"
+                "from polyceva.geometry import Point, point_from_ratio\n"
+                "try:\n"
+                "    point_from_ratio(Point(2, 5), Point(2, 5), 3)\n"
+                "except CoincidesWithDenominatorEnd:\n"
+                "    print('raised')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True, cwd=ROOT)
+        assert proc.stdout == "raised\n"
 
 
 class TestConcurrency:

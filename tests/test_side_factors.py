@@ -17,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyceva.ceva import CevaConfig, side_factors
+from polyceva.ceva import CevaConfig, crossing_point, side_factors
 from polyceva.circle import (
     InscribedConfig,
     SecondParam,
@@ -30,9 +30,11 @@ from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
 from polyceva.geometry import AffineMap, Point, affine_apply, homogeneous
 
 from _exact_oracle import (
+    ceva_crossings,
     ceva_factors,
     circle_point,
     inscribed_chords,
+    inscribed_crossings,
     inscribed_factors,
 )
 
@@ -214,6 +216,37 @@ def test_inscribed_kernel_matches_oracle_large_operands(concurrent):
         assert kernel == _outcome(inscribed_factors, *draw)
         _tally(seen, kernel)
     assert seen["valid"] > 10 and seen["degenerate"] > 0
+
+
+def _crossings(cfg):
+    """(factor, crossing_point) of each factor of a config."""
+    vertices = cfg.vertices
+    return tuple((f, crossing_point(vertices, f)) for f in cfg.factors)
+
+
+@pytest.mark.parametrize("kind", ["ceva", "inscribed", "concurrent"])
+def test_crossing_points_match_oracle(kind):
+    """crossing_point rebuilds from each factor the point M_ij that the
+    oracle intersects lines for, at small and ~300-digit operands."""
+    rng = random.Random(f"crossing-oracle:{kind}")
+    checked = 0
+    for k in range(60):
+        big = k % 10 == 9
+        if kind == "ceva":
+            draw = (_big_ceva_draw(rng, degenerate=False) if big
+                    else _ceva_draw(rng, 10))
+        else:
+            concurrent = kind == "concurrent"
+            draw = (_big_inscribed_draw(rng, concurrent, degenerate=False)
+                    if big else _inscribed_draw(rng, 10, concurrent))
+        try:
+            cfg = (CevaConfig if kind == "ceva" else InscribedConfig)(*draw)
+        except (InvariantViolation, DegenerateConfig, Tangent):
+            continue
+        assert _crossings(cfg) == (ceva_crossings(*draw) if kind == "ceva"
+                                   else inscribed_crossings(*draw)[0])
+        checked += 1
+    assert checked > 50
 
 
 def _kernel_chords(radius, params, specs, s, t):
