@@ -100,21 +100,12 @@ class CevaConfig(Frozen):
         vertices = tuple(vertices)
         n = len(vertices)
         validate_split(n, s, t)
-        if len(set(vertices)) != n:
-            raise InvariantViolation("vertices must be pairwise distinct")
-        if pivot in vertices:
-            raise InvariantViolation("pivot coincides with a vertex")
-        d = self.__dict__
-        d["vertices"] = vertices
-        d["pivot"] = pivot
-        d["s"] = s
-        d["t"] = t
-        triples = [homogeneous(v) for v in vertices]
-        m = homogeneous(pivot)
+        triples, m = _polygon_triples(vertices, pivot)
+        Frozen.__init__(self, vertices, pivot, s, t)
         factors = []
         for i in range(1, n + 1):
             factors += side_factors(triples, i, m, s, t)
-        d["factors"] = tuple(factors)
+        self.__dict__["factors"] = tuple(factors)
 
     @property
     def n(self) -> int:
@@ -123,6 +114,17 @@ class CevaConfig(Frozen):
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""
         return self.vertices[(i - 1) % self.n]
+
+
+def _polygon_triples(vertices: tuple[Point, ...], pivot: Point
+                     ) -> tuple[list[Homogeneous], Homogeneous]:
+    """Homogeneous triples of the vertices and of the pivot, once the
+    vertices are checked pairwise distinct and the pivot off them."""
+    if len(set(vertices)) != len(vertices):
+        raise InvariantViolation("vertices must be pairwise distinct")
+    if pivot in vertices:
+        raise InvariantViolation("pivot coincides with a vertex")
+    return [homogeneous(v) for v in vertices], homogeneous(pivot)
 
 
 class Factor(Frozen):
@@ -380,17 +382,12 @@ def build_converse_counterexample(pentagon: Sequence[Point],
     if len(pentagon) != 5:
         raise InvariantViolation("counterexample needs exactly 5 vertices")
     vertices = tuple(pentagon)
-    if len(set(vertices)) != 5:
-        raise InvariantViolation("vertices must be pairwise distinct")
-    if pivot in vertices:
-        raise InvariantViolation("pivot coincides with a vertex")
+    triples, m = _polygon_triples(vertices, pivot)
 
     def vtx(i: int) -> Point:
         return vertices[(i - 1) % 5]
 
     # The three genuine cevians: vertex i cuts side i + 2.
-    triples = [homogeneous(v) for v in vertices]
-    m = homogeneous(pivot)
     genuine = [side_factors(triples, i, m, 2, 1)[0] for i in (1, 2, 3)]
     k_value = Fraction(*factor_product(genuine))
 

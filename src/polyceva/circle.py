@@ -60,10 +60,8 @@ def circle_point(u: RationalLike, r: RationalLike) -> Point:
 
 def _pair_point(pair: Pair, r: Fraction) -> Point:
     """The circle point of parameter pair [p : q]; [1 : 0] is (-r, 0)."""
-    p, q = pair
-    den = r.denominator * (p * p + q * q)
-    return Point(Fraction(r.numerator * (q * q - p * p), den),
-                 Fraction(2 * r.numerator * p * q, den))
+    x, y, w = _pair_triple(pair, r.numerator, r.denominator)
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
 def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
@@ -81,7 +79,7 @@ class SecondParam(Frozen):
     v: Fraction
 
     def __init__(self, v: RationalLike):
-        self.__dict__["v"] = as_rational(v)
+        Frozen.__init__(self, as_rational(v))
 
 
 class ThroughPoint(Frozen):
@@ -129,12 +127,6 @@ class InscribedConfig(Frozen):
         radius = as_rational(radius)
         params = tuple(as_rational(u) for u in params)
         line_specs = tuple(line_specs)
-        d = self.__dict__
-        d["radius"] = radius
-        d["params"] = params
-        d["line_specs"] = line_specs
-        d["s"] = s
-        d["t"] = t
         if radius <= 0:
             raise InvariantViolation(
                 f"radius must be positive, got {format_rational(radius)}")
@@ -176,6 +168,8 @@ class InscribedConfig(Frozen):
                               (-(dx * q + dy * p), dy * q - dx * p)))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
+        Frozen.__init__(self, radius, params, line_specs, s, t)
+        d = self.__dict__
         d["param_pairs"] = pairs
         # Each vertex in full before the next: its tangency, then its
         # M'_i against the chord-ratio vertices, then its side factors.

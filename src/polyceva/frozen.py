@@ -2,18 +2,57 @@
 
 A subclass lists its compared fields, in order, in ``_fields``.  The
 inherited constructor takes one positional value per field and stores
-them as they are; a subclass that checks or converts its arguments, or
-stores results beyond its fields, writes its own ``__init__`` that sets
-each attribute in ``self.__dict__`` (twice as fast as
-``object.__setattr__``).  ``repr``, ``==`` and ``hash`` use exactly the
-fields, so a result a constructor stores beyond them (computed once, at
-construction) is left out of all three.  After construction, assigning
-or deleting any attribute raises AttributeError.
+them as they are.  A subclass that checks or converts its arguments
+writes its own ``__init__``, which calls ``Frozen.__init__`` once with
+the checked values; results it stores beyond its fields (computed once,
+at construction) it then sets in ``self.__dict__`` itself.  Only
+``Point`` and ``Factor``, built once per coordinate pair and once per
+side ratio, set their fields in ``self.__dict__`` by hand: that takes
+half the time of the inherited constructor.  ``repr``, ``==`` and
+``hash`` use exactly the fields, so stored results are left out of all
+three.  After construction, assigning or deleting any attribute raises
+AttributeError.
+
+``repr`` spells every int and Fraction through `to_decimal`, so a value
+prints under any int-string limit: error messages embed values whose
+parts may have thousands of digits.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
+
+# Python limits int -> str conversion to sys.get_int_max_str_digits()
+# digits (4300 by default, settable down to 640), so longer numbers go
+# through in pieces.  _CHUNK_BITS is the largest bit length whose values
+# all have at most 600 digits.
+_CHUNK_BITS = 1993
+
+
+def to_decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + to_decimal(-n)
+    # About half of n's digits (log10(2) ~ 0.30103), so high is nonzero.
+    low = n.bit_length() * 30103 // 200000
+    high, rest = divmod(n, 10 ** low)
+    return to_decimal(high) + to_decimal(rest).zfill(low)
+
+
+def _spell(value) -> str:
+    """repr(value), with every int and Fraction, also inside tuples,
+    converted by to_decimal."""
+    if type(value) is int:
+        return to_decimal(value)
+    if isinstance(value, Fraction):
+        return (f"Fraction({to_decimal(value.numerator)}, "
+                f"{to_decimal(value.denominator)})")
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_spell, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 class Frozen:
@@ -43,7 +82,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
+        fields = ", ".join(f"{name}={_spell(value)}"
                            for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 

@@ -77,12 +77,8 @@ class GenParams(Frozen):
                 f"coordinate_bound must have at most {MAX_DIGITS} digits")
         if max_rejections < 1:
             raise ValueError("max_rejections must be positive")
-        d = self.__dict__
-        d["seed"] = seed
-        d["n_min"] = n_min
-        d["n_max"] = n_max
-        d["coordinate_bound"] = coordinate_bound
-        d["max_rejections"] = max_rejections
+        Frozen.__init__(self, seed, n_min, n_max, coordinate_bound,
+                        max_rejections)
 
 
 class FuzzFailure(Frozen):
@@ -98,9 +94,9 @@ class FuzzFailure(Frozen):
 
     def to_dict(self) -> dict:
         """The fields as a plain dict; ``config`` is a deep copy."""
-        return {"trial": self.trial, "seed": self.seed, "check": self.check,
-                "expected": self.expected, "actual": self.actual,
-                "config": copy.deepcopy(self.config)}
+        doc = dict(zip(self._fields, self._values))
+        doc["config"] = copy.deepcopy(self.config)
+        return doc
 
 
 class FuzzReport(Frozen):
@@ -123,11 +119,10 @@ class FuzzReport(Frozen):
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "trials_requested": self.trials_requested,
-                "trials_completed": self.trials_completed,
-                "rejections": self.rejections,
-                "failures": [f.to_dict() for f in self.failures],
-                "elapsed_seconds": self.elapsed_seconds}
+        """The fields as a plain dict; ``failures`` become dicts."""
+        doc = dict(zip(self._fields, self._values))
+        doc["failures"] = [f.to_dict() for f in self.failures]
+        return doc
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

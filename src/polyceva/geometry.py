@@ -27,7 +27,7 @@ from .errors import (
     NotCollinear,
     ParallelLines,
 )
-from .frozen import Frozen
+from .frozen import Frozen, to_decimal
 
 # The universal scalar type of the kernel.
 Rational = Fraction
@@ -77,18 +77,16 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize to "p/q", or "p" when the denominator is 1."""
-    num = _to_decimal(value.numerator)
+    num = to_decimal(value.numerator)
     if value.denominator == 1:
         return num
-    return f"{num}/{_to_decimal(value.denominator)}"
+    return f"{num}/{to_decimal(value.denominator)}"
 
 
-# Python limits int <-> str conversion to sys.get_int_max_str_digits()
-# digits (4300 by default, settable down to 640), so longer numbers go
-# through in pieces of at most _CHUNK digits.  _CHUNK_BITS is the
-# largest bit length whose values all have at most _CHUNK digits.
+# Python limits str -> int conversion as it limits int -> str (see
+# frozen.to_decimal), so longer digit strings are parsed in pieces of at
+# most _CHUNK digits.
 _CHUNK = 600
-_CHUNK_BITS = 1993
 
 
 def _from_decimal(digits: str) -> int:
@@ -98,28 +96,6 @@ def _from_decimal(digits: str) -> int:
     low = len(digits) // 2
     return (_from_decimal(digits[:-low]) * 10 ** low
             + _from_decimal(digits[-low:]))
-
-
-def _to_decimal(n: int) -> str:
-    """str(n) for an int of any size."""
-    if n.bit_length() <= _CHUNK_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _to_decimal(-n)
-    # About half of n's digits (log10(2) ~ 0.30103), so high is nonzero.
-    low = n.bit_length() * 30103 // 200000
-    high, rest = divmod(n, 10 ** low)
-    return _to_decimal(high) + _to_decimal(rest).zfill(low)
-
-
-def _exact_repr(self) -> str:
-    """The Frozen repr of a value whose fields are all Fractions, each
-    spelled Fraction(n, d) through _to_decimal: error messages embed
-    Points and Lines, whose parts may exceed the int-string limit."""
-    fields = ", ".join(
-        f"{name}=Fraction({_to_decimal(v.numerator)}, {_to_decimal(v.denominator)})"
-        for name, v in zip(self._fields, self._values))
-    return f"{type(self).__qualname__}({fields})"
 
 
 class Point(Frozen):
@@ -133,18 +109,6 @@ class Point(Frozen):
         d = self.__dict__
         d["x"] = as_rational(x)
         d["y"] = as_rational(y)
-
-    __repr__ = _exact_repr
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: RationalLike) -> "Point":
-        k = as_rational(k)
-        return Point(self.x * k, self.y * k)
 
 
 class Line(Frozen):
@@ -169,12 +133,7 @@ class Line(Frozen):
             c, b = c / b, Fraction(1)
         else:
             raise ValueError("degenerate line: a = b = 0")
-        d = self.__dict__
-        d["a"] = a
-        d["b"] = b
-        d["c"] = c
-
-    __repr__ = _exact_repr
+        Frozen.__init__(self, a, b, c)
 
     def value_at(self, p: Point) -> Fraction:
         """Exact value of a*x + b*y + c at p; zero iff p lies on the line."""
@@ -201,10 +160,11 @@ class AffineMap(Frozen):
 
     def __init__(self, m11: RationalLike, m12: RationalLike, m21: RationalLike,
                  m22: RationalLike, tx: RationalLike, ty: RationalLike):
-        self.__dict__.update(zip(self._fields, map(
-            as_rational, (m11, m12, m21, m22, tx, ty))))
-        if self.m11 * self.m22 - self.m12 * self.m21 == 0:
+        m11, m12, m21, m22, tx, ty = map(as_rational,
+                                         (m11, m12, m21, m22, tx, ty))
+        if m11 * m22 - m12 * m21 == 0:
             raise ValueError("affine map is not invertible (zero determinant)")
+        Frozen.__init__(self, m11, m12, m21, m22, tx, ty)
 
     @staticmethod
     def identity() -> "AffineMap":

@@ -2,7 +2,13 @@
 
 import pytest
 
-from _golden import CASES, expected, run_case
+from _golden import CASES, expected, pinned_names, run_case
+
+
+def test_every_pinned_case_runs():
+    """A case whose input is missing from the tree, or a pinned file
+    without a case, fails here rather than shrinking the suite."""
+    assert set(CASES) == pinned_names()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,7 @@
 """Layering rules: no polyceva module imports another module's private
 names, none uses dataclasses, only Frozen defines how a value is
-assigned, deleted or hashed, and only svgout.py computes in floats."""
+assigned, deleted, hashed or printed, and only svgout.py computes in
+floats."""
 
 import ast
 from pathlib import Path
@@ -35,13 +36,15 @@ def test_no_dataclasses(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_frozen_defines_mutation_and_hash(path):
-    """Every value class is immutable and hashable by its fields alone."""
+    """Every value class is immutable, hashable by its fields alone and
+    printed by Frozen's repr, which passes the int-string limit."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defined = [f"{node.name}.{name}" for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) and node.name != "Frozen"
                for item in node.body
                for name in _defined_names(item)
-               if name in ("__setattr__", "__delattr__", "__hash__")]
+               if name in ("__setattr__", "__delattr__", "__hash__",
+                           "__repr__")]
     assert defined == []
 
 

@@ -166,7 +166,7 @@ def _big_inscribed_draw(rng, concurrent, degenerate):
         radius, params, specs, s, t = _inscribed_draw(rng, 2, concurrent,
                                                       n_max=12)
         k = abs(_big_rational(rng))
-        specs = tuple(ThroughPoint(sp.point.scaled(k))
+        specs = tuple(ThroughPoint(Point(sp.point.x * k, sp.point.y * k))
                       if isinstance(sp, ThroughPoint) else sp for sp in specs)
         return k * radius, params, specs, s, t
     n, s, t = _shape(rng, 12)
@@ -268,9 +268,10 @@ def _aimed_draw(draw, rng, aim):
     elif aim == "vertex":
         target = circle_point(params[(i + s) % n], radius)
     else:
-        target = a_i + Point(-a_i.y, a_i.x)
+        target = Point(a_i.x - a_i.y, a_i.y + a_i.x)
     k = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
-    through = ThroughPoint(a_i + (target - a_i).scaled(k))
+    through = ThroughPoint(Point(a_i.x + (target.x - a_i.x) * k,
+                                 a_i.y + (target.y - a_i.y) * k))
     return radius, params, specs[:i] + (through,) + specs[i + 1:], s, t
 
 

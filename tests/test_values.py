@@ -5,13 +5,28 @@ Reprs reach users through error messages (a Tangent message prints a
 Line and a Point), so they are pinned exactly.
 """
 
+import contextlib
 import json
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from polyceva.ceva import CevaConfig, Factor, ProductReport
-from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
+from polyceva.ceva import (
+    CevaConfig,
+    Factor,
+    ProductReport,
+    build_converse_counterexample,
+    ceva_product,
+)
+from polyceva.circle import (
+    InscribedConfig,
+    SecondParam,
+    ThroughPoint,
+    inscribed_identity_report,
+)
+from polyceva.frozen import Frozen
 from polyceva.fuzz import FuzzFailure, FuzzReport, GenParams
 from polyceva.geometry import Line, Point
 
@@ -71,14 +86,66 @@ def test_equality_and_hash_follow_the_fields():
         hash(failing_report())  # failures is a list
 
 
+@contextlib.contextmanager
+def int_string_limit(digits: int):
+    """Python's int-string limit set to ``digits`` (0: none), then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def unlimited_repr(value) -> str:
+    """The repr Python's own reprs of the fields give under no int-string
+    limit: the text Frozen's repr must give at any limit."""
+    with int_string_limit(0):
+        if isinstance(value, Frozen):
+            fields = ", ".join(f"{name}={unlimited_repr(getattr(value, name))}"
+                               for name in value._fields)
+            return f"{type(value).__qualname__}({fields})"
+        if isinstance(value, tuple):
+            items = [unlimited_repr(v) for v in value]
+            return f"({', '.join(items)}{',' * (len(items) == 1)})"
+        return repr(value)
+
+
+def big(k: int) -> F:
+    """A rational with 1000-digit parts."""
+    return F(k * 10 ** 999 + 7 * k + 1, 10 ** 999 + 3 * k + 2)
+
+
 def test_point_and_line_reprs_pass_the_int_string_limit():
-    """Error messages print Points and Lines, whose parts may have more
-    digits than str(int) allows."""
-    big = "1" + "0" * 4999 + "1"
+    """Error messages print values whose parts may have more digits than
+    str(int) allows.  Every value prints them in full: the factors,
+    products and counterexample ratios of 1000-digit configs at the
+    default limit, and the configs themselves at the lowest one."""
+    digits = "1" + "0" * 4999 + "1"
     assert repr(Point(F(10 ** 5000 + 1, 3), 2)) == \
-        f"Point(x=Fraction({big}, 3), y=Fraction(2, 1))"
+        f"Point(x=Fraction({digits}, 3), y=Fraction(2, 1))"
     assert repr(Line(0, 3, -(10 ** 5000 + 1))) == \
-        f"Line(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-{big}, 3))"
+        f"Line(a=Fraction(0, 1), b=Fraction(1, 1), c=Fraction(-{digits}, 3))"
+    triangle = CevaConfig((Point(big(1), big(2)), Point(-big(3), big(4)),
+                           Point(big(5), -big(6))),
+                          Point(big(7) / 100, big(8) / 100), 1, 1)
+    report = ceva_product(triangle)
+    pentagon = tuple(Point(big(a), big(b)) for a, b in
+                     ((1, -9), (8, 2), (5, 11), (-6, 10), (-9, -3)))
+    inscribed = InscribedConfig(
+        big(2), (-big(2), F(1, 10 ** 999 + 1), big(1) / 2),
+        (SecondParam(big(3)), ThroughPoint(Point(big(1) / 10, big(1) / 10)),
+         SecondParam(-big(1) / 4)), 1, 1)
+    derived = (report.factors[0], report,
+               build_converse_counterexample(pentagon, Point(big(1) / 3, big(2) / 5)),
+               inscribed_identity_report(inscribed))
+    for value in derived:
+        text = unlimited_repr(value)
+        assert max(map(len, re.findall(r"[0-9]+", text))) > 4300  # the default
+        assert repr(value) == text
+    with int_string_limit(640):
+        for value in (SecondParam(big(3)), inscribed, *derived):
+            assert repr(value) == unlimited_repr(value)
 
 
 @pytest.mark.parametrize("values", [
