@@ -13,31 +13,28 @@ import importlib
 
 _EXPORTS = {
     "errors": (
-        "AxisAligned", "CoincidentLines", "CoincidesWithDenominatorEnd",
-        "ConfigError", "DegenerateConfig", "DivisionByZero", "DuplicateLines",
-        "GenerationExhausted", "GeometryError", "IdenticalPoints",
-        "InvalidRational", "InvariantViolation", "MalformedJson",
-        "NotCollinear", "NotConcurrent", "ParallelLines", "Tangent",
+        "CoincidentLines", "CoincidesWithDenominatorEnd", "ConfigError",
+        "DegenerateConfig", "DuplicateLines", "GenerationExhausted",
+        "GeometryError", "IdenticalPoints", "InvalidRational",
+        "InvariantViolation", "MalformedJson", "NotConcurrent",
+        "ParallelLines", "Tangent",
     ),
     "geometry": (
-        "AffineMap", "Line", "Point", "Rational", "affine_apply",
-        "are_concurrent", "as_rational", "directed_ratio", "distance_squared",
-        "format_rational", "homogeneous", "intersect_lines", "is_collinear",
-        "line_through", "parse_rational", "point_from_ratio", "signed_area2",
+        "Line", "Point", "are_concurrent", "as_rational", "format_rational",
+        "homogeneous", "intersect_lines", "line_through", "parse_rational",
+        "point_from_ratio",
     ),
     "ceva": (
         "CevaConfig", "Counterexample", "Factor", "ProductReport",
         "all_sides_product", "build_converse_counterexample", "ceva_product",
-        "cevian_intersection", "classic_ceva_product", "idx_shift",
-        "line_value_antisymmetry", "normalized_line_value",
-        "opposite_vertex_product", "side_factors", "sides_hit",
+        "classic_ceva_product", "idx_shift", "opposite_vertex_product",
+        "side_factors", "sides_hit",
     ),
     "circle": (
         "InscribedConfig", "InscribedReport", "SecondParam", "ThroughPoint",
-        "chord_telescoping_squared", "circle_point", "concurrent_secants_check",
+        "chord_telescoping_squared", "concurrent_secants_check",
         "inscribed_chord_product_squared", "inscribed_identity_report",
-        "inscribed_opposite_side_check", "similar_triangles_relation",
-        "vertex_lines",
+        "similar_triangles_relation", "vertex_lines",
     ),
     "fuzz": (
         "FuzzFailure", "FuzzReport", "GenParams", "fuzz_ceva",

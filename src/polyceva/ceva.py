@@ -20,13 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    AxisAligned,
-    DegenerateConfig,
-    DivisionByZero,
-    DuplicateLines,
-    InvariantViolation,
-)
+from .errors import DegenerateConfig, DuplicateLines, InvariantViolation
 from .frozen import Frozen
 from .geometry import (
     Homogeneous,
@@ -250,18 +244,6 @@ def crossing_point(vertices: Sequence[Point], factor: Factor) -> Point:
                             factor.value)
 
 
-def cevian_intersection(cfg: CevaConfig, i: int, j: int) -> Point:
-    """The crossing M_ij of cevian A_i M with side-line A_j A_{j+1}.
-
-    j must be one of sides_hit(i, s, t, n).
-    """
-    sides = sides_hit(i, cfg.s, cfg.t, cfg.n)
-    if j not in sides:
-        raise ValueError(f"side {j} is not crossed by the cevian at vertex {i}")
-    return crossing_point(cfg.vertices,
-                          cfg.factors[(i - 1) * cfg.t + sides.index(j)])
-
-
 def ceva_product(cfg: CevaConfig) -> ProductReport:
     """The full signed ratio product over all n*t cevian crossings.
 
@@ -302,50 +284,6 @@ def all_sides_product(polygon: Sequence[Point], pivot: Point) -> ProductReport:
     return ceva_product(CevaConfig(tuple(polygon), pivot, 1, n - 2))
 
 
-def normalized_line_value(x: Fraction, y: Fraction, vertex: Point,
-                          pivot: Point) -> Fraction:
-    """Value at (x, y) of the two-point form of the line vertex-pivot:
-
-        (x - a)/(X - a) - (y - b)/(Y - b)
-
-    with pivot (a, b) and vertex (X, Y).  Zero exactly on the line.
-    Defined only when the vertex shares no coordinate with the pivot.
-    """
-    if vertex.x == pivot.x or vertex.y == pivot.y:
-        raise AxisAligned(
-            f"vertex {vertex} shares a coordinate with pivot {pivot}")
-    return (x - pivot.x) / (vertex.x - pivot.x) - (y - pivot.y) / (vertex.y - pivot.y)
-
-
-def line_value_antisymmetry(cfg: CevaConfig, r: int, q: int) -> bool:
-    """Check the exact swap identity of the normalized line form.
-
-    Writing D(u, v) for the value of the A_v-pivot line form at A_u and
-    P(u) = (X_u - a)(Y_u - b), the identity
-
-        D(r, q) / D(q, r) = -P(r) / P(q)
-
-    holds whenever no vertex of cfg shares a coordinate with the pivot
-    and A_q is off the line A_r-pivot.  Returns the (always true) exact
-    comparison rather than assuming it.
-    """
-    if r == q:
-        raise ValueError("indices must differ")
-    for v in cfg.vertices:
-        if v.x == cfg.pivot.x or v.y == cfg.pivot.y:
-            raise AxisAligned(
-                f"vertex {v} shares a coordinate with pivot {cfg.pivot}")
-    a_r = cfg.vertex(r)
-    a_q = cfg.vertex(q)
-    d_rq = normalized_line_value(a_r.x, a_r.y, a_q, cfg.pivot)
-    d_qr = normalized_line_value(a_q.x, a_q.y, a_r, cfg.pivot)
-    if d_qr == 0:
-        raise DivisionByZero(f"vertex {q} lies on the cevian line at vertex {r}")
-    p_r = (a_r.x - cfg.pivot.x) * (a_r.y - cfg.pivot.y)
-    p_q = (a_q.x - cfg.pivot.x) * (a_q.y - cfg.pivot.y)
-    return d_rq / d_qr == -p_r / p_q
-
-
 class Counterexample(Frozen):
     """Five cevians of a pentagon with ratio product -1 yet not concurrent.
 
@@ -364,6 +302,11 @@ class Counterexample(Frozen):
     branch: str
     product: Fraction
     concurrent: bool
+
+    @property
+    def holds(self) -> bool:
+        """The refutation: ratio product -1, yet the cevians not concurrent."""
+        return self.product == -1 and not self.concurrent
 
 
 def build_converse_counterexample(pentagon: Sequence[Point],

@@ -49,15 +49,6 @@ from .ceva import Factor, factor_product, idx_shift, side_factors, validate_spli
 Pair = tuple[int, int]
 
 
-def circle_point(u: RationalLike, r: RationalLike) -> Point:
-    """Rational point of parameter u on the circle x^2 + y^2 = r^2."""
-    u = as_rational(u)
-    r = as_rational(r)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return _pair_point((u.numerator, u.denominator), r)
-
-
 def _pair_point(pair: Pair, r: Fraction) -> Point:
     """The circle point of parameter pair [p : q]; [1 : 0] is (-r, 0)."""
     x, y, w = _pair_triple(pair, r.numerator, r.denominator)
@@ -355,10 +346,3 @@ def _identity_report(cfg: InscribedConfig,
         holds = holds and lhs == expected and rhs_squared == 1
     return InscribedReport(cfg, lhs, lhs_squared, rhs_squared, holds, expected)
 
-
-def inscribed_opposite_side_check(cfg: InscribedConfig) -> InscribedReport:
-    """The t = 1 instance: n is odd and each d_i crosses exactly the one
-    side opposite its vertex."""
-    if cfg.t != 1:
-        raise InvariantViolation(f"single-crossing case needs t = 1, got t={cfg.t}")
-    return inscribed_identity_report(cfg)

@@ -296,7 +296,6 @@ def inscribed_run_report(report: InscribedReport) -> dict:
 
 
 def counterexample_run_report(result: Counterexample, seed: int) -> dict:
-    holds = result.product == -1 and not result.concurrent
     return {
         "kind": "counterexample",
         "n": 5,
@@ -306,7 +305,7 @@ def counterexample_run_report(result: Counterexample, seed: int) -> dict:
                     for i, r in enumerate(result.ratios, start=1)],
         "product": format_rational(result.product),
         "expected": "-1",
-        "holds": holds,
+        "holds": result.holds,
         "K": format_rational(result.K),
         "branch": result.branch,
         "concurrent": result.concurrent,

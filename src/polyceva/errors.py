@@ -25,26 +25,13 @@ class CoincidentLines(GeometryError):
     """The two lines are the same line (infinitely many intersections)."""
 
 
-class NotCollinear(GeometryError):
-    """A directed ratio was requested for three non-collinear points."""
-
-
 class CoincidesWithDenominatorEnd(GeometryError):
-    """directed_ratio(X, A, B) with X = B: the denominator segment is zero."""
+    """A point X on line AB at a directed ratio XA / XB has X = B: the
+    denominator segment is zero."""
 
 
 class DuplicateLines(GeometryError):
     """A concurrency test was given the same line twice."""
-
-
-class AxisAligned(GeometryError):
-    """A vertex shares an x or y coordinate with the pivot, so the
-    normalized two-point line form is undefined."""
-
-
-class DivisionByZero(GeometryError):
-    """A line-form value required to be nonzero vanished (the evaluation
-    point lies on the line)."""
 
 
 class Tangent(GeometryError):

@@ -1,9 +1,10 @@
 """Exact planar geometry over the rationals.
 
 Every scalar is a ``fractions.Fraction`` (arbitrary precision, canonical
-form: positive denominator, gcd 1), so all predicates here are exact
-equality tests and nothing is ever rounded.  Identities verified by the
-engine modules reduce to ``==`` between Fractions.
+form: positive denominator, gcd 1), so nothing is ever rounded.  The
+engine modules read points as integer homogeneous triples
+(`homogeneous`) and decide their identities by exact comparison of
+integers or Fractions.
 
 Lines are stored as homogeneous triples (a, b, c) for the locus
 a*x + b*y + c = 0, normalized so the first nonzero coefficient of (a, b)
@@ -24,13 +25,9 @@ from .errors import (
     DuplicateLines,
     IdenticalPoints,
     InvalidRational,
-    NotCollinear,
     ParallelLines,
 )
 from .frozen import Frozen, to_decimal
-
-# The universal scalar type of the kernel.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -147,35 +144,6 @@ class Line(Frozen):
         return self.a * other.b - other.a * self.b == 0
 
 
-class AffineMap(Frozen):
-    """Invertible affine transform (x, y) -> (m11 x + m12 y + tx, m21 x + m22 y + ty)."""
-
-    _fields = ("m11", "m12", "m21", "m22", "tx", "ty")
-    m11: Fraction
-    m12: Fraction
-    m21: Fraction
-    m22: Fraction
-    tx: Fraction
-    ty: Fraction
-
-    def __init__(self, m11: RationalLike, m12: RationalLike, m21: RationalLike,
-                 m22: RationalLike, tx: RationalLike, ty: RationalLike):
-        m11, m12, m21, m22, tx, ty = map(as_rational,
-                                         (m11, m12, m21, m22, tx, ty))
-        if m11 * m22 - m12 * m21 == 0:
-            raise ValueError("affine map is not invertible (zero determinant)")
-        Frozen.__init__(self, m11, m12, m21, m22, tx, ty)
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(1, 0, 0, 1, 0, 0)
-
-
-def affine_apply(map_: AffineMap, p: Point) -> Point:
-    return Point(map_.m11 * p.x + map_.m12 * p.y + map_.tx,
-                 map_.m21 * p.x + map_.m22 * p.y + map_.ty)
-
-
 def line_through(p: Point, q: Point) -> Line:
     """The unique line containing two distinct points."""
     if p == q:
@@ -195,11 +163,6 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return Point(x, y)
 
 
-def signed_area2(p: Point, q: Point, r: Point) -> Fraction:
-    """Twice the signed area of triangle pqr (positive when ccw)."""
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
 # Integer homogeneous coordinates (X, Y, W) of the point (X/W, Y/W), W > 0.
 Homogeneous = tuple[int, int, int]
 
@@ -213,42 +176,9 @@ def homogeneous(p: Point) -> Homogeneous:
     return p.x.numerator * (w // dx), p.y.numerator * (w // dy), w
 
 
-def is_collinear(p: Point, q: Point, r: Point) -> bool:
-    return signed_area2(p, q, r) == 0
-
-
-def distance_squared(p: Point, q: Point) -> Fraction:
-    """Squared Euclidean distance; exact, unlike the distance itself."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
-def directed_ratio(x: Point, a: Point, b: Point) -> Fraction:
-    """Signed ratio r of directed segments XA/XB: (A - X) = r * (B - X).
-
-    All three points must be collinear and X must differ from B.  The
-    ratio is negative exactly when X lies strictly between A and B.  It
-    is computed from whichever coordinate of (B - X) is nonzero; when
-    both are usable the two quotients must agree, which is asserted as a
-    free self-check.
-    """
-    if x == b:
-        raise CoincidesWithDenominatorEnd(
-            f"ratio point {x} coincides with the denominator end")
-    if not is_collinear(x, a, b):
-        raise NotCollinear(f"{x}, {a}, {b} are not collinear")
-    dxb = b.x - x.x
-    dyb = b.y - x.y
-    if dxb != 0:
-        ratio = (a.x - x.x) / dxb
-        assert dyb == 0 or ratio == (a.y - x.y) / dyb
-        return ratio
-    return (a.y - x.y) / dyb
-
-
 def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
-    """The unique X on line AB with directed_ratio(X, A, B) = ratio.
+    """The unique X on line AB with (A - X) = ratio * (B - X), the point
+    whose directed ratio XA / XB is ratio.
 
     Solving (A - X) = r (B - X) gives X = (A - r B) / (1 - r); r = 1 has
     no solution (X escapes to infinity), and A = B leaves only X = B,

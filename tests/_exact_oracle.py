@@ -1,10 +1,17 @@
-"""Exact reference for the side factors and chord ratios, from Points.
+"""Exact Point-based reference for the kernel, and the geometry the
+library does not carry.
 
-For each vertex line and side-line the crossing M_ij is found with
-intersect_lines, the general-position checks are made at that point, and
-the factor is directed_ratio(M_ij, A_j, A_{j+1}), paired with M_ij for
-polyceva.ceva.crossing_point to be checked against.  It shares no
-formula with the area-principle kernel (polyceva.ceva.side_factors),
+Reference geometry over Fractions: signed areas, collinearity, squared
+distances, directed ratios and affine maps of Points.  The swap
+identity of the normalized two-point line form, a step of the paper's
+proof, is checked here too (line_value_antisymmetry); the library
+computes no line form.
+
+Side factors: for each vertex line and side-line the crossing M_ij is
+found with intersect_lines, the general-position checks are made at that
+point, and the factor is directed_ratio(M_ij, A_j, A_{j+1}), paired with
+M_ij for polyceva.ceva.crossing_point to be checked against.  It shares
+no formula with the area-principle kernel (polyceva.ceva.side_factors),
 which never builds the crossing point.  Circle points come from the
 half-angle formula in Fractions, the second circle point M'_i from the
 secant's direction, and every chord ratio from squared distances between
@@ -17,21 +24,150 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from polyceva.ceva import Factor, idx_shift, sides_hit
+from polyceva.ceva import CevaConfig, Factor, idx_shift, sides_hit
 from polyceva.circle import SecondParam
 from polyceva.errors import (
     CoincidentLines,
+    CoincidesWithDenominatorEnd,
     DegenerateConfig,
+    GeometryError,
     ParallelLines,
     Tangent,
 )
+from polyceva.frozen import Frozen
 from polyceva.geometry import (
     Point,
-    directed_ratio,
-    distance_squared,
+    RationalLike,
+    as_rational,
     intersect_lines,
     line_through,
 )
+
+
+class NotCollinear(GeometryError):
+    """A directed ratio was requested for three non-collinear points."""
+
+
+class AxisAligned(GeometryError):
+    """A vertex shares an x or y coordinate with the pivot, so the
+    normalized two-point line form is undefined."""
+
+
+class DivisionByZero(GeometryError):
+    """A line-form value required to be nonzero vanished (the evaluation
+    point lies on the line)."""
+
+
+class AffineMap(Frozen):
+    """Invertible affine transform (x, y) -> (m11 x + m12 y + tx, m21 x + m22 y + ty)."""
+
+    _fields = ("m11", "m12", "m21", "m22", "tx", "ty")
+    m11: Fraction
+    m12: Fraction
+    m21: Fraction
+    m22: Fraction
+    tx: Fraction
+    ty: Fraction
+
+    def __init__(self, m11: RationalLike, m12: RationalLike, m21: RationalLike,
+                 m22: RationalLike, tx: RationalLike, ty: RationalLike):
+        m11, m12, m21, m22, tx, ty = map(as_rational,
+                                         (m11, m12, m21, m22, tx, ty))
+        if m11 * m22 - m12 * m21 == 0:
+            raise ValueError("affine map is not invertible (zero determinant)")
+        Frozen.__init__(self, m11, m12, m21, m22, tx, ty)
+
+    @staticmethod
+    def identity() -> "AffineMap":
+        return AffineMap(1, 0, 0, 1, 0, 0)
+
+
+def affine_apply(map_: AffineMap, p: Point) -> Point:
+    return Point(map_.m11 * p.x + map_.m12 * p.y + map_.tx,
+                 map_.m21 * p.x + map_.m22 * p.y + map_.ty)
+
+
+def signed_area2(p: Point, q: Point, r: Point) -> Fraction:
+    """Twice the signed area of triangle pqr (positive when ccw)."""
+    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+
+def is_collinear(p: Point, q: Point, r: Point) -> bool:
+    return signed_area2(p, q, r) == 0
+
+
+def distance_squared(p: Point, q: Point) -> Fraction:
+    """Squared Euclidean distance; exact, unlike the distance itself."""
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return dx * dx + dy * dy
+
+
+def directed_ratio(x: Point, a: Point, b: Point) -> Fraction:
+    """Signed ratio r of directed segments XA/XB: (A - X) = r * (B - X).
+
+    All three points must be collinear and X must differ from B.  The
+    ratio is negative exactly when X lies strictly between A and B.  It
+    is computed from whichever coordinate of (B - X) is nonzero; when
+    both are usable the two quotients must agree, which is asserted as a
+    free self-check.
+    """
+    if x == b:
+        raise CoincidesWithDenominatorEnd(
+            f"ratio point {x} coincides with the denominator end")
+    if not is_collinear(x, a, b):
+        raise NotCollinear(f"{x}, {a}, {b} are not collinear")
+    dxb = b.x - x.x
+    dyb = b.y - x.y
+    if dxb != 0:
+        ratio = (a.x - x.x) / dxb
+        assert dyb == 0 or ratio == (a.y - x.y) / dyb
+        return ratio
+    return (a.y - x.y) / dyb
+
+
+def normalized_line_value(x: Fraction, y: Fraction, vertex: Point,
+                          pivot: Point) -> Fraction:
+    """Value at (x, y) of the two-point form of the line vertex-pivot:
+
+        (x - a)/(X - a) - (y - b)/(Y - b)
+
+    with pivot (a, b) and vertex (X, Y).  Zero exactly on the line.
+    Defined only when the vertex shares no coordinate with the pivot.
+    """
+    if vertex.x == pivot.x or vertex.y == pivot.y:
+        raise AxisAligned(
+            f"vertex {vertex} shares a coordinate with pivot {pivot}")
+    return (x - pivot.x) / (vertex.x - pivot.x) - (y - pivot.y) / (vertex.y - pivot.y)
+
+
+def line_value_antisymmetry(cfg: CevaConfig, r: int, q: int) -> bool:
+    """Check the exact swap identity of the normalized line form.
+
+    Writing D(u, v) for the value of the A_v-pivot line form at A_u and
+    P(u) = (X_u - a)(Y_u - b), the identity
+
+        D(r, q) / D(q, r) = -P(r) / P(q)
+
+    holds whenever no vertex of cfg shares a coordinate with the pivot
+    and A_q is off the line A_r-pivot.  Returns the (always true) exact
+    comparison rather than assuming it.
+    """
+    if r == q:
+        raise ValueError("indices must differ")
+    for v in cfg.vertices:
+        if v.x == cfg.pivot.x or v.y == cfg.pivot.y:
+            raise AxisAligned(
+                f"vertex {v} shares a coordinate with pivot {cfg.pivot}")
+    a_r = cfg.vertex(r)
+    a_q = cfg.vertex(q)
+    d_rq = normalized_line_value(a_r.x, a_r.y, a_q, cfg.pivot)
+    d_qr = normalized_line_value(a_q.x, a_q.y, a_r, cfg.pivot)
+    if d_qr == 0:
+        raise DivisionByZero(f"vertex {q} lies on the cevian line at vertex {r}")
+    p_r = (a_r.x - cfg.pivot.x) * (a_r.y - cfg.pivot.y)
+    p_q = (a_q.x - cfg.pivot.x) * (a_q.y - cfg.pivot.y)
+    return d_rq / d_qr == -p_r / p_q
 
 
 def crossing(vertices, a_i, p, i, j) -> tuple[Factor, Point]:

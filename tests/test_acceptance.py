@@ -17,13 +17,18 @@ from polyceva.ceva import (
     all_sides_product,
     build_converse_counterexample,
     ceva_product,
-    line_value_antisymmetry,
     opposite_vertex_product,
 )
-from polyceva.errors import DegenerateConfig, DivisionByZero, GenerationExhausted
+from polyceva.errors import DegenerateConfig, GenerationExhausted
 from polyceva.fuzz import GenParams, fuzz_ceva, fuzz_inscribed, gen_ceva_config
-from polyceva.geometry import AffineMap, affine_apply, signed_area2
 
+from _exact_oracle import (
+    AffineMap,
+    DivisionByZero,
+    affine_apply,
+    line_value_antisymmetry,
+    signed_area2,
+)
 from _float_oracle import float_ceva_product
 from test_cli import COUNTEREXAMPLE, SQUARE, TRIANGLE
 

@@ -6,12 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from polyceva.errors import (
-    AxisAligned,
-    DegenerateConfig,
-    DivisionByZero,
-    InvariantViolation,
-)
+from polyceva.errors import DegenerateConfig, InvariantViolation
 from polyceva.ceva import (
     MAX_VERTICES,
     CevaConfig,
@@ -20,29 +15,28 @@ from polyceva.ceva import (
     all_sides_product,
     build_converse_counterexample,
     ceva_product,
-    cevian_intersection,
     classic_ceva_product,
+    crossing_point,
     factor_product,
     idx_shift,
-    line_value_antisymmetry,
-    normalized_line_value,
     opposite_vertex_product,
     sides_hit,
     validate_split,
 )
-from polyceva.geometry import (
-    AffineMap,
-    Point,
-    affine_apply,
-    are_concurrent,
-    directed_ratio,
-    intersect_lines,
-    line_through,
-)
+from polyceva.geometry import Point, are_concurrent, intersect_lines, line_through
 from polyceva.circle import inscribed_identity_report
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 
-from _exact_oracle import crossing
+from _exact_oracle import (
+    AffineMap,
+    AxisAligned,
+    DivisionByZero,
+    affine_apply,
+    crossing,
+    directed_ratio,
+    line_value_antisymmetry,
+    normalized_line_value,
+)
 from _float_oracle import float_ceva_product
 
 
@@ -97,20 +91,21 @@ class TestSidesHit:
         assert all(hits.count(j) == t for j in range(1, n + 1))
 
 
+def meet(cfg: CevaConfig, i: int, j: int) -> Point:
+    """The crossing M_ij of the cevian at A_i with side-line A_j A_{j+1}."""
+    factor, = (f for f in cfg.factors if (f.i, f.j) == (i, j))
+    return crossing_point(cfg.vertices, factor)
+
+
 class TestCevianIntersection:
     def test_median_foot_is_midpoint(self):
         cfg = CevaConfig(TRIANGLE, CENTROID, 1, 1)
-        assert cevian_intersection(cfg, 1, 2) == pt(2, 2)
+        assert meet(cfg, 1, 2) == pt(2, 2)
 
     def test_square_extended_side(self):
         # Cevian y = 2x from the origin meets the extended side x = 4 at (4, 8).
         cfg = CevaConfig(SQUARE, pt(1, 2), 1, 2)
-        assert cevian_intersection(cfg, 1, 2) == pt(4, 8)
-
-    def test_wrong_side_rejected(self):
-        cfg = CevaConfig(TRIANGLE, CENTROID, 1, 1)
-        with pytest.raises(ValueError):
-            cevian_intersection(cfg, 1, 1)
+        assert meet(cfg, 1, 2) == pt(4, 8)
 
     def test_pivot_on_side_line_degenerate(self):
         # Pivot on the side-line through A_3 and A_1 breaks general position.
@@ -224,9 +219,9 @@ class TestClassicCeva:
         # side 3, (-20,0) on side 1, with ratios -1, 6/5, 5/6.
         report = classic_ceva_product(TRIANGLE, pt(5, 5))
         cfg = CevaConfig(TRIANGLE, pt(5, 5), 1, 1)
-        assert cevian_intersection(cfg, 1, 2) == pt(2, 2)
-        assert cevian_intersection(cfg, 2, 3) == pt(0, -20)
-        assert cevian_intersection(cfg, 3, 1) == pt(-20, 0)
+        assert meet(cfg, 1, 2) == pt(2, 2)
+        assert meet(cfg, 2, 3) == pt(0, -20)
+        assert meet(cfg, 3, 1) == pt(-20, 0)
         assert {f.value for f in report.factors} == {F(-1), F(6, 5), F(5, 6)}
         assert report.product == -1
 
@@ -248,8 +243,8 @@ class TestOppositeVertexProduct:
         assert [f.i for f in report.factors] == [4, 5, 1, 2, 3]
         for f in report.factors:
             cfg = CevaConfig(PENTAGON, pt(2, 2), 2, 1)
-            meet = cevian_intersection(cfg, f.i, f.j)
-            assert directed_ratio(meet, cfg.vertex(f.j), cfg.vertex(f.j + 1)) == f.value
+            m = meet(cfg, f.i, f.j)
+            assert directed_ratio(m, cfg.vertex(f.j), cfg.vertex(f.j + 1)) == f.value
 
     def test_triangle_reduces_to_classic(self):
         report = opposite_vertex_product(TRIANGLE, pt(1, 1))
@@ -448,6 +443,7 @@ class TestCounterexample:
         assert result.branch == "1/K"
         assert result.product == -1
         assert result.concurrent is False
+        assert result.holds
         assert not are_concurrent(result.cevians)
         assert result.ratios == (F(-2, 3), F(-1), F(-2, 3), F(-3, 2), F(-3, 2))
 

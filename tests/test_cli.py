@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import polyceva.cli as cli
 from polyceva.ceva import Factor, ProductReport
+from polyceva.errors import IdenticalPoints
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -206,6 +207,17 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError('kernel fault\\nsecond line')\n"
+
+    def test_other_geometry_error_exits_three(self, capsys, monkeypatch):
+        """A GeometryError that is not a degeneracy still exits 3, with one
+        line on stderr."""
+        def broken(cfg):
+            raise IdenticalPoints("pivot and vertex coincide")
+        monkeypatch.setattr(cli, "ceva_product", broken)
+        code, out, err = run_cli(capsys, "verify", str(TRIANGLE))
+        assert code == 3
+        assert out == ""
+        assert err == "geometry error: pivot and vertex coincide\n"
 
 
 def _thousand_digit_triangle(tmp_path) -> Path:

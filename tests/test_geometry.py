@@ -1,4 +1,5 @@
-"""Kernel tests: exact predicates, constructions, and their invariants."""
+"""Kernel tests: exact constructions and their invariants, with the
+oracle's reference predicates and directed ratios."""
 
 import math
 import os
@@ -16,25 +17,28 @@ from polyceva.errors import (
     DuplicateLines,
     IdenticalPoints,
     InvalidRational,
-    NotCollinear,
     ParallelLines,
 )
 from polyceva.geometry import (
-    AffineMap,
     Line,
     Point,
-    affine_apply,
     are_concurrent,
-    directed_ratio,
-    distance_squared,
     MAX_DIGITS,
     format_rational,
     homogeneous,
     intersect_lines,
-    is_collinear,
     line_through,
     parse_rational,
     point_from_ratio,
+)
+
+from _exact_oracle import (
+    AffineMap,
+    NotCollinear,
+    affine_apply,
+    directed_ratio,
+    distance_squared,
+    is_collinear,
     signed_area2,
 )
 

@@ -1,12 +1,14 @@
 """Layering rules: no polyceva module imports another module's private
 names, none uses dataclasses, only Frozen defines how a value is
-assigned, deleted, hashed or printed, and only svgout.py computes in
-floats."""
+assigned, deleted, hashed or printed, only svgout.py computes in
+floats, and every export has a caller in the library."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import polyceva
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyceva"
 
@@ -108,3 +110,42 @@ def test_float_lint_finds_each_kind():
     assert sorted(_float_uses(ast.parse(source))) == [
         "2: from math import sqrt", "3: literal 0.0", "3: literal 1.5", "4: float()",
         "4: literal 1e-09", "4: math.hypot", "4: math.pi"]
+
+
+# Exports no polyceva module uses, each with the reason it stays.
+UNCALLED_EXPORTS = {
+    "classic_ceva_product": "Ceva's theorem, the n = 3 case the paper extends",
+    "opposite_vertex_product": "the paper's Consequence 1.1",
+    "all_sides_product": "the paper's s = 1, t = n - 2 case",
+    "gen_ceva_config": "perfbench digests its stream of configs",
+    "gen_inscribed_config": "perfbench digests its stream of configs",
+}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and
+    string constants (cli._LAZY names its lazy imports as strings)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_caller():
+    """A name the library exports is used by another of its modules, or
+    states one of the paper's cases; test-only helpers live in tests/."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = sorted(name for names in polyceva._EXPORTS.values()
+                      for name in names
+                      if name not in used and name not in UNCALLED_EXPORTS)
+    assert uncalled == []

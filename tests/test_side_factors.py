@@ -27,9 +27,11 @@ from polyceva.circle import (
     similar_triangles_relation,
 )
 from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
-from polyceva.geometry import AffineMap, Point, affine_apply, homogeneous
+from polyceva.geometry import Point, homogeneous
 
 from _exact_oracle import (
+    AffineMap,
+    affine_apply,
     ceva_crossings,
     ceva_factors,
     circle_point,

@@ -10,29 +10,27 @@ import polyceva
 ROOT = Path(__file__).resolve().parent.parent
 
 # polyceva.__all__: the names from before they loaded lazily, less
-# second_points and inscribed_side_product, folded since, and
-# second_intersection, which nothing called.
+# second_points and inscribed_side_product, folded since,
+# second_intersection, which nothing called, and the fifteen names only
+# the tests used: Point-based reference geometry and the line-form swap
+# identity, now in tests/_exact_oracle.py, and three aliases.
 ALL = [
-    "AffineMap", "AxisAligned", "CevaConfig", "CoincidentLines",
-    "CoincidesWithDenominatorEnd", "ConfigError", "Counterexample",
-    "DegenerateConfig", "DivisionByZero", "DuplicateLines", "Factor",
-    "FuzzFailure", "FuzzReport", "GenParams", "GenerationExhausted",
+    "CevaConfig", "CoincidentLines", "CoincidesWithDenominatorEnd",
+    "ConfigError", "Counterexample", "DegenerateConfig", "DuplicateLines",
+    "Factor", "FuzzFailure", "FuzzReport", "GenParams", "GenerationExhausted",
     "GeometryError", "IdenticalPoints", "InscribedConfig", "InscribedReport",
     "InvalidRational", "InvariantViolation", "Line", "MalformedJson",
-    "NotCollinear", "NotConcurrent", "ParallelLines", "Point", "ProductReport",
-    "Rational", "SecondParam", "Tangent", "ThroughPoint", "affine_apply",
-    "all_sides_product", "are_concurrent", "as_rational",
-    "build_converse_counterexample", "ceva", "ceva_product",
-    "cevian_intersection", "chord_telescoping_squared", "circle",
-    "circle_point", "classic_ceva_product", "concurrent_secants_check",
-    "configio", "directed_ratio", "distance_squared", "errors",
-    "format_rational", "fuzz", "fuzz_ceva", "fuzz_inscribed",
-    "gen_ceva_config", "gen_inscribed_config", "geometry", "homogeneous",
-    "idx_shift", "inscribed_chord_product_squared", "inscribed_identity_report",
-    "inscribed_opposite_side_check", "intersect_lines", "is_collinear", "line_through", "line_value_antisymmetry",
-    "normalized_line_value", "opposite_vertex_product", "parse_rational",
-    "point_from_ratio", "side_factors",
-    "sides_hit", "signed_area2", "similar_triangles_relation", "vertex_lines",
+    "NotConcurrent", "ParallelLines", "Point", "ProductReport", "SecondParam",
+    "Tangent", "ThroughPoint", "all_sides_product", "are_concurrent",
+    "as_rational", "build_converse_counterexample", "ceva", "ceva_product",
+    "chord_telescoping_squared", "circle", "classic_ceva_product",
+    "concurrent_secants_check", "configio", "errors", "format_rational",
+    "fuzz", "fuzz_ceva", "fuzz_inscribed", "gen_ceva_config",
+    "gen_inscribed_config", "geometry", "homogeneous", "idx_shift",
+    "inscribed_chord_product_squared", "inscribed_identity_report",
+    "intersect_lines", "line_through", "opposite_vertex_product",
+    "parse_rational", "point_from_ratio", "side_factors", "sides_hit",
+    "similar_triangles_relation", "vertex_lines",
 ]
 
 
@@ -65,7 +63,7 @@ def test_package_import_loads_no_submodule():
 
 def test_all_is_unchanged():
     assert polyceva.__all__ == ALL
-    assert len(ALL) == 74
+    assert len(ALL) == 59
 
 
 def test_every_exported_name_resolves():
