@@ -31,10 +31,10 @@ _EXPORTS = {
         "side_factors", "sides_hit",
     ),
     "circle": (
-        "InscribedConfig", "InscribedReport", "SecondParam", "ThroughPoint",
-        "chord_telescoping_squared", "concurrent_secants_check",
-        "inscribed_chord_product_squared", "inscribed_identity_report",
-        "similar_triangles_relation", "vertex_lines",
+        "InscribedConfig", "InscribedReport", "chord_telescoping_squared",
+        "concurrent_secants_check", "inscribed_chord_product_squared",
+        "inscribed_identity_report", "similar_triangles_relation",
+        "vertex_lines",
     ),
     "fuzz": (
         "FuzzFailure", "FuzzReport", "GenParams", "fuzz_ceva",

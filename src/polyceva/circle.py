@@ -62,25 +62,9 @@ def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
     return a * (q * q - p * p), 2 * a * p * q, b * (p * p + q * q)
 
 
-class SecondParam(Frozen):
-    """Vertex line given by a second circle parameter: d_i joins A_i to
-    the circle point of parameter v."""
-
-    _fields = ("v",)
-    v: Fraction
-
-    def __init__(self, v: RationalLike):
-        Frozen.__init__(self, as_rational(v))
-
-
-class ThroughPoint(Frozen):
-    """Vertex line given by an arbitrary second point off the vertex."""
-
-    _fields = ("point",)
-    point: Point
-
-
-LineSpec = Union[SecondParam, ThroughPoint]
+# What fixes d_i beyond A_i: a Point it passes through, or the
+# parameter of its second circle point M'_i.
+LineSpec = Union[Point, Fraction]
 
 
 class InscribedConfig(Frozen):
@@ -88,10 +72,12 @@ class InscribedConfig(Frozen):
 
     params must be strictly increasing, which orders the vertices by
     angle along the circle (the parameter is monotone in the half-angle
-    tangent).  Construction validates structure and general position:
-    every required side crossing exists away from the side's endpoints,
-    no d_i is tangent, and no second circle point M'_i lands on a vertex
-    used by the chord ratios.
+    tangent).  Each line spec is a Point off A_i that d_i passes through,
+    or the parameter of M'_i: a Fraction, or an int or "p/q" string,
+    stored as a Fraction.  Construction validates structure and general
+    position: every required side crossing exists away from the side's
+    endpoints, no d_i is tangent, and no second circle point M'_i lands
+    on a vertex used by the chord ratios.
 
     The check runs in integer circle parameters: a parameter p/q is the
     pair [p : q], the pair [1 : 0] being (-r, 0).  Construction keeps
@@ -114,10 +100,11 @@ class InscribedConfig(Frozen):
     factors: tuple[Factor, ...]
 
     def __init__(self, radius: RationalLike, params: Sequence[RationalLike],
-                 line_specs: Sequence[LineSpec], s: int, t: int):
+                 line_specs: Sequence[Point | RationalLike], s: int, t: int):
         radius = as_rational(radius)
         params = tuple(as_rational(u) for u in params)
-        line_specs = tuple(line_specs)
+        line_specs = tuple(as_rational(spec) if isinstance(spec, (int, str))
+                           else spec for spec in line_specs)
         if radius <= 0:
             raise InvariantViolation(
                 f"radius must be positive, got {format_rational(radius)}")
@@ -135,15 +122,8 @@ class InscribedConfig(Frozen):
         # its second circle point M'_i.
         lines = []
         for i, spec in enumerate(line_specs, start=1):
-            if isinstance(spec, SecondParam):
-                if spec.v in params:
-                    raise InvariantViolation(
-                        f"line {i}: second parameter {format_rational(spec.v)} "
-                        "is a vertex parameter")
-                pair = (spec.v.numerator, spec.v.denominator)
-                lines.append((_pair_triple(pair, a, b), pair))
-            elif isinstance(spec, ThroughPoint):
-                x_p, y_p, w_p = homogeneous(spec.point)
+            if isinstance(spec, Point):
+                x_p, y_p, w_p = homogeneous(spec)
                 x_a, y_a, w_a = vertices[i - 1]
                 # A positive multiple of the direction P_i - A_i.
                 dx = x_p * w_a - x_a * w_p
@@ -157,6 +137,13 @@ class InscribedConfig(Frozen):
                 p, q = pairs[i - 1]
                 lines.append(((x_p, y_p, w_p),
                               (-(dx * q + dy * p), dy * q - dx * p)))
+            elif isinstance(spec, Fraction):
+                if spec in params:
+                    raise InvariantViolation(
+                        f"line {i}: second parameter {format_rational(spec)} "
+                        "is a vertex parameter")
+                pair = (spec.numerator, spec.denominator)
+                lines.append((_pair_triple(pair, a, b), pair))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
         Frozen.__init__(self, radius, params, line_specs, s, t)
@@ -170,7 +157,7 @@ class InscribedConfig(Frozen):
             if p * q_a == p_a * q:
                 # M'_i = A_i: the line only touches the circle there.
                 a_i = self.vertex(i + 1)
-                raise Tangent(f"line {line_through(a_i, line_specs[i].point)} "
+                raise Tangent(f"line {line_through(a_i, line_specs[i])} "
                               f"is tangent at {a_i}")
             # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
             # the numerator vertex A_{i+s} must be avoided as well.
@@ -194,8 +181,8 @@ class InscribedConfig(Frozen):
 
     @property
     def line_points(self) -> tuple[Point, ...]:
-        return tuple(spec.point if isinstance(spec, ThroughPoint)
-                     else _pair_point((spec.v.numerator, spec.v.denominator),
+        return tuple(spec if isinstance(spec, Point)
+                     else _pair_point((spec.numerator, spec.denominator),
                                       self.radius)
                      for spec in self.line_specs)
 
@@ -206,7 +193,7 @@ class InscribedConfig(Frozen):
     @property
     def common_point(self) -> Point | None:
         """The one point every d_i is specified through, or None."""
-        points = {spec.point if isinstance(spec, ThroughPoint) else None
+        points = {spec if isinstance(spec, Point) else None
                   for spec in self.line_specs}
         return points.pop() if len(points) == 1 else None
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .ceva import MAX_VERTICES, CevaConfig, Counterexample, ProductReport
-from .circle import InscribedConfig, InscribedReport, SecondParam, ThroughPoint
+from .circle import InscribedConfig, InscribedReport
 from .errors import InvalidRational, InvariantViolation, MalformedJson
 from .frozen import Frozen
 from .geometry import Point, format_rational, parse_rational
@@ -190,10 +190,9 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         # parts, up to twice its bits at a common denominator, enter the
         # second circle point of its line and so the chord products.
         circle_bits = _bits(radius) + 2 * _bits(
-            *params, *(spec.v for spec in specs if isinstance(spec, SecondParam)))
-        through_bits = _bits(*(c for spec in specs
-                               if isinstance(spec, ThroughPoint)
-                               for c in (spec.point.x, spec.point.y)))
+            *params, *(spec for spec in specs if not isinstance(spec, Point)))
+        through_bits = _bits(*(c for spec in specs if isinstance(spec, Point)
+                               for c in (spec.x, spec.y)))
         _check_work(len(params), t, max(circle_bits, through_bits),
                     circle_bits + 2 * through_bits)
         return InscribedConfig(radius, params, specs, s, t)
@@ -210,9 +209,9 @@ def _line_spec(item, where: str):
         raise InvariantViolation(
             f"{where}: expected {{'second_param': q}} or {{'through': [x, y]}}")
     if "second_param" in item:
-        return SecondParam(_rational(item["second_param"], f"{where}.second_param"))
+        return _rational(item["second_param"], f"{where}.second_param")
     if "through" in item:
-        return ThroughPoint(_point(item["through"], f"{where}.through"))
+        return _point(item["through"], f"{where}.through")
     raise InvariantViolation(f"{where}: unknown line spec {item!r}")
 
 
@@ -233,10 +232,10 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
     if isinstance(cfg, InscribedConfig):
         lines = []
         for spec in cfg.line_specs:
-            if isinstance(spec, SecondParam):
-                lines.append({"second_param": format_rational(spec.v)})
+            if isinstance(spec, Point):
+                lines.append({"through": point_to_json(spec)})
             else:
-                lines.append({"through": point_to_json(spec.point)})
+                lines.append({"second_param": format_rational(spec)})
         return {
             "kind": "inscribed",
             "radius": format_rational(cfg.radius),

@@ -80,7 +80,8 @@ class MalformedJson(ConfigError):
 
 
 class InvalidRational(ConfigError):
-    """A rational field is not a canonical "p/q" or "p" string."""
+    """A rational is not a string "p/q" or "p" of ASCII digits, p with an
+    optional sign, or has a part over geometry.MAX_DIGITS digits or q = 0."""
 
 
 class InvariantViolation(ConfigError):

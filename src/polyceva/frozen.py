@@ -1,6 +1,8 @@
 """Base class of polyceva's immutable value classes.
 
-A subclass lists its compared fields, in order, in ``_fields``.  The
+A subclass lists its compared fields, in order, in ``_fields``, at
+least two of them: ``attrgetter`` of one name returns the bare value,
+not a tuple, and a single datum is a plain value, not a class.  The
 inherited constructor takes one positional value per field and stores
 them as they are.  A subclass that checks or converts its arguments
 writes its own ``__init__``, which calls ``Frozen.__init__`` once with
@@ -62,12 +64,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if len(cls._fields) == 1:
-            # attrgetter of one name returns the value itself, not a tuple.
-            name, = cls._fields
-            cls._values = property(lambda self: (getattr(self, name),))
-        else:
-            cls._values = property(attrgetter(*cls._fields))
+        cls._values = property(attrgetter(*cls._fields))
 
     def __init__(self, *values):
         if len(values) != len(self._fields):

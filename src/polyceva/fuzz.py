@@ -22,8 +22,6 @@ from fractions import Fraction
 from .ceva import MAX_VERTICES, CevaConfig, ceva_product
 from .circle import (
     InscribedConfig,
-    SecondParam,
-    ThroughPoint,
     chord_telescoping_squared,
     concurrent_secants_check,
     inscribed_identity_report,
@@ -168,14 +166,14 @@ def _build_inscribed(rng: random.Random, params: GenParams,
         raise InvariantViolation(f"no {n} distinct parameters drawn")
     us = tuple(sorted(values))
     if concurrent:
-        specs: tuple = tuple([ThroughPoint(_rand_point(rng, bound))] * n)
+        specs: tuple = (_rand_point(rng, bound),) * n
     else:
-        drawn: list[SecondParam] = []
+        drawn: list[Fraction] = []
         for _ in range(n):
             for _ in range(64):
                 v = _rand_rational(rng, bound)
                 if v not in values:
-                    drawn.append(SecondParam(v))
+                    drawn.append(v)
                     break
         if len(drawn) < n:
             raise InvariantViolation("no second parameters off the vertices")

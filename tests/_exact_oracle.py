@@ -12,11 +12,12 @@ found with intersect_lines, the general-position checks are made at that
 point, and the factor is directed_ratio(M_ij, A_j, A_{j+1}), paired with
 M_ij for polyceva.ceva.crossing_point to be checked against.  It shares
 no formula with the area-principle kernel (polyceva.ceva.side_factors),
-which never builds the crossing point.  Circle points come from the
-half-angle formula in Fractions, the second circle point M'_i from the
-secant's direction, and every chord ratio from squared distances between
-those Points; polyceva.circle computes all three in integer parameter
-pairs and builds no Point for them.
+which never builds the crossing point, nor its walk over the sides each
+vertex line crosses (sides_crossed here, ceva.sides_hit there).  Circle
+points come from the half-angle formula in Fractions, the second circle
+point M'_i from the secant's direction, and every chord ratio from
+squared distances between those Points; polyceva.circle computes all
+three in integer parameter pairs and builds no Point for them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from polyceva.ceva import CevaConfig, Factor, idx_shift, sides_hit
-from polyceva.circle import SecondParam
+from polyceva.ceva import CevaConfig, Factor
 from polyceva.errors import (
     CoincidentLines,
     CoincidesWithDenominatorEnd,
@@ -170,6 +170,12 @@ def line_value_antisymmetry(cfg: CevaConfig, r: int, q: int) -> bool:
     return d_rq / d_qr == -p_r / p_q
 
 
+def sides_crossed(i: int, s: int, t: int, n: int) -> list[int]:
+    """The sides j = i+s, ..., i+s+t-1 (mod n, 1-based) that the line
+    through vertex i crosses."""
+    return [(i + s + d - 1) % n + 1 for d in range(t)]
+
+
 def crossing(vertices, a_i, p, i, j) -> tuple[Factor, Point]:
     """The crossing M_ij of line A_i P with side-line A_j A_{j+1}, as
     its ratio and the point itself."""
@@ -213,7 +219,7 @@ def ceva_crossings(vertices, pivot, s, t) -> tuple[tuple[Factor, Point], ...]:
     polygon-with-pivot draw."""
     n = len(vertices)
     return tuple(crossing(vertices, vertices[i - 1], pivot, i, j)
-                 for i in range(1, n + 1) for j in sides_hit(i, s, t, n))
+                 for i in range(1, n + 1) for j in sides_crossed(i, s, t, n))
 
 
 def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
@@ -232,17 +238,17 @@ def inscribed_crossings(radius, params, specs, s, t):
     m_primes = []
     for i, spec in enumerate(specs, start=1):
         a_i = vertices[i - 1]
-        if isinstance(spec, SecondParam):
-            p = m_prime = circle_point(spec.v, radius)
-        else:
-            p = spec.point
+        if isinstance(spec, Point):
+            p = spec
             m_prime = chord_end(a_i, p)
-        for k in {idx_shift(i, s, n), idx_shift(i, s + 1, n),
-                  idx_shift(i, s + t, n)}:
+        else:
+            p = m_prime = circle_point(spec, radius)
+        # The chord ratios' vertices A_{i+s}, A_{i+s+1} and A_{i+s+t}.
+        for k in {(i + d - 1) % n + 1 for d in (s, s + 1, s + t)}:
             if m_prime == vertices[k - 1]:
                 raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, k)
         crossings += [crossing(vertices, a_i, p, i, j)
-                      for j in sides_hit(i, s, t, n)]
+                      for j in sides_crossed(i, s, t, n)]
         m_primes.append(m_prime)
     return tuple(crossings), tuple(m_primes)
 

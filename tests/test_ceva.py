@@ -23,7 +23,13 @@ from polyceva.ceva import (
     sides_hit,
     validate_split,
 )
-from polyceva.geometry import Point, are_concurrent, intersect_lines, line_through
+from polyceva.geometry import (
+    Point,
+    are_concurrent,
+    intersect_lines,
+    line_through,
+    point_from_ratio,
+)
 from polyceva.circle import inscribed_identity_report
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 
@@ -495,6 +501,54 @@ class TestCounterexample:
         assert result.ratios[1] == F(-1, 2)
         assert result.product == -1
         assert result.concurrent is False
+
+    # One fixed pentagon and pivot for each early exit of the builder.
+    def test_k_one_skips_the_first_branch(self):
+        # Ratio 1/K = 1 has no finite point, so M_1 takes ratio 2.
+        pent = (pt(-5, -5), pt(3, -5), pt(3, -3), pt(-5, -1), pt(-4, 1))
+        result = build_converse_counterexample(pent, pt(-4, -2))
+        assert result.K == 1
+        assert result.branch == "2/K"
+        assert result.ratios[:2] == (2, F(-1, 2))
+        assert result.holds
+
+    def test_m1_on_vertex_4_skips_the_first_branch(self):
+        # A_4 lies on line A_1A_2 at ratio 1/K, where A_4 M_1 is no line.
+        pent = (pt(5, 3), pt(-3, -5), pt(-1, 3), pt(-1, -3), pt(-5, 1))
+        result = build_converse_counterexample(pent, pt(4, -5))
+        assert point_from_ratio(pent[0], pent[1], 1 / result.K) == pent[3]
+        assert result.branch == "2/K"
+        assert result.holds
+
+    def test_both_branches_degenerate(self):
+        pent = (pt(1, -1), pt(4, -3), pt(0, 2), pt(1, 3), pt(0, -2))
+        with pytest.raises(DegenerateConfig,
+                           match="both ratio branches degenerate"):
+            build_converse_counterexample(pent, pt(4, -1))
+
+    def test_two_cevians_coincide(self):
+        pent = (pt(-5, -5), pt(-5, 5), pt(3, -5), pt(1, 5), pt(-2, 1))
+        with pytest.raises(DegenerateConfig,
+                           match="two cevians coincide") as info:
+            build_converse_counterexample(pent, pt(-5, 3))
+        assert info.value.reason == DegenerateConfig.PARALLEL
+
+    def test_compensating_point_never_lands_on_vertex_5(self):
+        """M_2 = A_5 needs A_5 on line A_2A_3 at the branch's ratio r2:
+        -1 (1/K branch) or -1/2 (2/K branch).  With A_5 there, K =
+        -[A_2 P A_4] / (r2 [A_1 P A_4]), [.] being signed area and P the
+        pivot, so the branch's r1 = -1/(r2 K) = [A_1 P A_4] / [A_2 P A_4]
+        puts M_1 where line A_4 P meets line A_1A_2.  That branch is
+        always skipped, and the guard cannot fire."""
+        quad = PENTAGON[:4]
+        midpoint, third = Point(F(9, 2), F(3, 2)), Point(F(13, 3), F(1))
+        for a_5, skipped, r1 in ((midpoint, "1/K", 1), (third, "2/K", 2)):
+            for pivot in (pt(1, 3), pt(3, 1)):
+                result = build_converse_counterexample((*quad, a_5), pivot)
+                assert result.branch != skipped
+                assert result.meet_points[1] != a_5
+                m1 = point_from_ratio(quad[0], quad[1], r1 / result.K)
+                assert line_through(quad[3], m1).contains(pivot)
 
     def test_degenerate_pentagon(self):
         # Pivot collinear with A_1 and A_3 puts the first foot on a vertex.

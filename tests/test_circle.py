@@ -16,8 +16,6 @@ from polyceva.geometry import Point, line_through
 from polyceva.ceva import idx_shift
 from polyceva.circle import (
     InscribedConfig,
-    SecondParam,
-    ThroughPoint,
     chord_telescoping_squared,
     concurrent_secants_check,
     inscribed_chord_product_squared,
@@ -39,14 +37,14 @@ PENTAGON_VS = (F(3), F(5), F(-3), F(7), F(1, 3))
 
 def pentagon_config() -> InscribedConfig:
     return InscribedConfig(F(1), PENTAGON_US,
-                           tuple(SecondParam(v) for v in PENTAGON_VS), 2, 1)
+                           PENTAGON_VS, 2, 1)
 
 
 def inscribed_triangle_with_common_point() -> InscribedConfig:
     us = (F(-1, 3), F(1, 5), F(4))
     pts = [circle_point(u, F(1)) for u in us]
     pivot = Point(sum(p.x for p in pts) / 3, sum(p.y for p in pts) / 3)
-    return InscribedConfig(F(1), us, tuple(ThroughPoint(pivot) for _ in us), 1, 1)
+    return InscribedConfig(F(1), us, (pivot,) * len(us), 1, 1)
 
 
 class TestCirclePoint:
@@ -69,39 +67,38 @@ class TestInscribedConfigValidation:
     def test_params_must_increase(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), (F(1), F(0), F(2)),
-                            tuple(SecondParam(F(7)) for _ in range(3)), 1, 1)
+                            (F(7),) * 3, 1, 1)
 
     def test_second_param_not_a_vertex(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), (F(0), F(1), F(2)),
-                            (SecondParam(F(1)),) * 3, 1, 1)
+                            (F(1),) * 3, 1, 1)
 
     def test_through_point_not_the_vertex(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), (F(0), F(1), F(2)),
-                            (ThroughPoint(Point(F(1), F(0))),) * 3, 1, 1)
+                            (Point(F(1), F(0)),) * 3, 1, 1)
 
     def test_split_checked(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), PENTAGON_US,
-                            tuple(SecondParam(v) for v in PENTAGON_VS), 1, 1)
+                            PENTAGON_VS, 1, 1)
 
     def test_spec_count(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), PENTAGON_US,
-                            tuple(SecondParam(v) for v in PENTAGON_VS[:4]), 2, 1)
+                            PENTAGON_VS[:4], 2, 1)
 
     def test_radius_positive(self):
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(-1), PENTAGON_US,
-                            tuple(SecondParam(v) for v in PENTAGON_VS), 2, 1)
+                            PENTAGON_VS, 2, 1)
 
     def test_tangent_line_rejected(self):
         # The vertical through (1, 0) is tangent to the unit circle.
         with pytest.raises(Tangent):
             InscribedConfig(F(1), (F(0), F(1), F(2)),
-                            (ThroughPoint(Point(F(1), F(5))),
-                             SecondParam(F(9)), SecondParam(F(-5))), 1, 1)
+                            (Point(F(1), F(5)), F(9), F(-5)), 1, 1)
 
     # Each vertex is checked in full before the next: its tangency, its
     # second circle point, then its side crossings.
@@ -111,9 +108,9 @@ class TestInscribedConfigValidation:
         # tangent at A_2.
         with pytest.raises(DegenerateConfig) as info:
             InscribedConfig(F(1), (F(-1), F(0), F(1)),
-                            (ThroughPoint(Point(F(1), F(-2))),
-                             ThroughPoint(Point(F(1), F(5))),
-                             SecondParam(F(5))), 1, 1)
+                            (Point(F(1), F(-2)),
+                             Point(F(1), F(5)),
+                             F(5)), 1, 1)
         exc = info.value
         assert (exc.reason, exc.i, exc.j) == (DegenerateConfig.PARALLEL, 1, 2)
 
@@ -123,9 +120,9 @@ class TestInscribedConfigValidation:
         # to side A_3 A_1.
         with pytest.raises(Tangent):
             InscribedConfig(F(1), (F(-1), F(0), F(2)),
-                            (ThroughPoint(Point(F(3), F(-1))),
-                             ThroughPoint(Point(F(2), F(-3))),
-                             SecondParam(F(5))), 1, 1)
+                            (Point(F(3), F(-1)),
+                             Point(F(2), F(-3)),
+                             F(5)), 1, 1)
 
     def test_vertices_in_circular_order(self):
         cfg = pentagon_config()
@@ -182,8 +179,7 @@ class TestSimilarTrianglesRelation:
         # The first crossing for vertex 1 falls outside the circle here;
         # the factorization must hold in that case too.
         cfg = InscribedConfig(F(1), (F(-5, 2), F(-1, 3), F(0)),
-                              (SecondParam(F(5)), SecondParam(F(-4)),
-                               SecondParam(F(-1, 2))), 1, 1)
+                              (F(5), F(-4), F(-1, 2)), 1, 1)
         vertices = cfg.vertices
         lines = vertex_lines(cfg)
         side = line_through(vertices[1], vertices[2])
@@ -247,21 +243,20 @@ class TestConcurrentSecants:
 
     def test_common_point_and_pinned_sign(self):
         cfg = inscribed_triangle_with_common_point()
-        assert cfg.common_point == cfg.line_specs[0].point
+        assert cfg.common_point == cfg.line_specs[0]
         assert concurrent_secants_check(cfg).expected == -1
         assert inscribed_identity_report(cfg).expected is None
         us = (F(-2), F(0), F(1, 2))
-        shared = ThroughPoint(Point(F(1, 10), F(1, 10)))
-        for specs in [(shared, shared, ThroughPoint(Point(F(1, 7), F(1, 5)))),
-                      (shared, shared, SecondParam(F(5)))]:
+        shared = Point(F(1, 10), F(1, 10))
+        for specs in [(shared, shared, Point(F(1, 7), F(1, 5))),
+                      (shared, shared, F(5))]:
             assert InscribedConfig(F(1), us, specs, 1, 1).common_point is None
         assert pentagon_config().common_point is None
 
     def test_inscribed_quadrilateral(self):
         us = (F(-2), F(0), F(1, 2), F(3))
         pivot = Point(F(1, 10), F(1, 10))
-        cfg = InscribedConfig(F(1), us, tuple(ThroughPoint(pivot)
-                                              for _ in range(4)), 1, 2)
+        cfg = InscribedConfig(F(1), us, (pivot,) * 4, 1, 2)
         report = concurrent_secants_check(cfg)
         assert report.lhs == 1
         assert report.rhs_squared == 1
@@ -274,8 +269,8 @@ class TestConcurrentSecants:
 
     def test_distinct_points_rejected(self):
         us = (F(-2), F(0), F(1, 2), F(3))
-        specs = (ThroughPoint(Point(F(1, 10), F(1, 10))),) * 3 \
-            + (ThroughPoint(Point(F(1, 7), F(1, 5))),)
+        specs = (Point(F(1, 10), F(1, 10)),) * 3 \
+            + (Point(F(1, 7), F(1, 5)),)
         cfg = InscribedConfig(F(1), us, specs, 1, 2)
         with pytest.raises(NotConcurrent):
             concurrent_secants_check(cfg)
@@ -295,7 +290,7 @@ class TestOppositeSideCheck:
         us = (F(-3), F(-1, 2), F(1, 4), F(1), F(5))
         pts = [circle_point(u, F(2)) for u in us]
         pivot = Point(sum(p.x for p in pts) / 5, sum(p.y for p in pts) / 5)
-        cfg = InscribedConfig(F(2), us, tuple(ThroughPoint(pivot) for _ in us), 2, 1)
+        cfg = InscribedConfig(F(2), us, (pivot,) * len(us), 2, 1)
         report = inscribed_identity_report(cfg)
         assert report.lhs == -1
         assert report.rhs_squared == 1
@@ -320,7 +315,7 @@ class TestRotationInvariance:
 
         us = (F(-3), F(-1), F(0), F(1, 3), F(1))
         vs = (F(4), F(-5), F(6), F(-7), F(5, 3))
-        cfg = InscribedConfig(F(1), us, tuple(SecondParam(v) for v in vs), 2, 1)
+        cfg = InscribedConfig(F(1), us, vs, 2, 1)
         for u in us + vs:
             assert circle_point(xform(u), F(1)) == \
                 affine_apply(rotation, circle_point(u, F(1)))
@@ -330,7 +325,7 @@ class TestRotationInvariance:
         shift = new_us.index(min(new_us))
         rotated = InscribedConfig(
             F(1), tuple(new_us[shift:] + new_us[:shift]),
-            tuple(SecondParam(v) for v in new_vs[shift:] + new_vs[:shift]),
+            tuple(new_vs[shift:] + new_vs[:shift]),
             2, 1)
 
         lhs = inscribed_identity_report(cfg).lhs

@@ -10,7 +10,7 @@ import polyceva.ceva
 import polyceva.circle
 import polyceva.configio
 from polyceva.ceva import MAX_VERTICES, CevaConfig
-from polyceva.circle import InscribedConfig, SecondParam, ThroughPoint
+from polyceva.circle import InscribedConfig
 from polyceva.configio import (
     MAX_BYTES,
     MAX_WORK,
@@ -25,6 +25,7 @@ from polyceva.errors import (
     MalformedJson,
 )
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
+from polyceva.geometry import Point
 
 TRIANGLE_DOC = {
     "kind": "ceva",
@@ -122,7 +123,11 @@ class TestParseInscribed:
         cfg = parse_config(dumps(INSCRIBED_DOC))
         assert isinstance(cfg, InscribedConfig)
         assert cfg.n == 5
-        assert all(isinstance(spec, SecondParam) for spec in cfg.line_specs)
+        assert all(isinstance(spec, Fraction) for spec in cfg.line_specs)
+        # Line specs are the plain values, given as ints, strings or
+        # Fractions alike.
+        assert cfg == InscribedConfig(1, ("-2", "-1/2", 0, "1/2", 2),
+                                      (3, "5", Fraction(-3), 7, "1/3"), 2, 1)
 
     def test_through_point_spec(self):
         doc = dict(INSCRIBED_DOC)
@@ -130,7 +135,9 @@ class TestParseInscribed:
         doc["lines"] = [{"through": ["1/10", "1/10"]}] * 4
         doc["s"], doc["t"] = 1, 2
         cfg = parse_config(dumps(doc))
-        assert all(isinstance(spec, ThroughPoint) for spec in cfg.line_specs)
+        assert all(isinstance(spec, Point) for spec in cfg.line_specs)
+        assert cfg == InscribedConfig(1, (-2, 0, "1/2", 3),
+                                      (Point("1/10", "1/10"),) * 4, 1, 2)
 
     def test_non_increasing_params(self):
         doc = dict(INSCRIBED_DOC, params=["0", "0", "1", "2", "3"])

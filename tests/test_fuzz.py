@@ -8,12 +8,7 @@ import pytest
 import polyceva.circle
 import polyceva.fuzz
 from polyceva.ceva import MAX_VERTICES, CevaConfig, ProductReport
-from polyceva.circle import (
-    InscribedConfig,
-    InscribedReport,
-    SecondParam,
-    ThroughPoint,
-)
+from polyceva.circle import InscribedConfig, InscribedReport
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
     MAX_BOUND,
@@ -24,6 +19,7 @@ from polyceva.fuzz import (
     gen_ceva_config,
     gen_inscribed_config,
 )
+from polyceva.geometry import Point
 
 
 class TestGenParams:
@@ -111,16 +107,15 @@ class TestGenInscribed:
         for trial in range(10):
             cfg = gen_inscribed_config(params, trial)
             for spec in cfg.line_specs:
-                assert isinstance(spec, SecondParam)
-                assert spec.v not in cfg.params
+                assert isinstance(spec, Fraction)
+                assert spec not in cfg.params
 
     def test_concurrent_specs_share_point(self):
         params = GenParams(seed=19)
         for trial in range(5):
             cfg = gen_inscribed_config(params, trial, concurrent=True)
-            points = {spec.point for spec in cfg.line_specs}
-            assert len(points) == 1
-            assert all(isinstance(spec, ThroughPoint) for spec in cfg.line_specs)
+            assert len(set(cfg.line_specs)) == 1
+            assert all(isinstance(spec, Point) for spec in cfg.line_specs)
 
     def test_triangle_split(self):
         params = GenParams(seed=19, n_min=3, n_max=3)

@@ -1,16 +1,20 @@
 """Layering rules: no polyceva module imports another module's private
 names, none uses dataclasses, only Frozen defines how a value is
-assigned, deleted, hashed or printed, only svgout.py computes in
-floats, and every export has a caller in the library."""
+assigned, deleted, hashed or printed, every Frozen class has at least
+two fields, only svgout.py computes in floats, every export has a caller
+in the library, and every name the perfbench tracer patches exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import polyceva
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polyceva"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polyceva"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -57,6 +61,23 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     targets = (stmt.targets if isinstance(stmt, ast.Assign)
                else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
     return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_frozen_classes_list_two_fields():
+    """Frozen's ``_values`` is ``attrgetter(*_fields)``, a tuple only for
+    two or more names, so every Frozen class lists at least two."""
+    fields = {}
+    for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "_exact_oracle.py"]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Frozen"
+                    for base in node.bases):
+                fields[node.name] = next(
+                    (ast.literal_eval(stmt.value) for stmt in node.body
+                     if "_fields" in _defined_names(stmt)), ())
+    assert len(fields) >= 13
+    assert sorted(name for name, names in fields.items() if len(names) < 2) == []
 
 
 # math names whose value is a float.  Integer-valued ones (floor, ceil,
@@ -149,3 +170,17 @@ def test_every_export_has_a_caller():
                       for name in names
                       if name not in used and name not in UNCALLED_EXPORTS)
     assert uncalled == []
+
+
+def test_tracer_names_resolve():
+    """Each (module, attribute) pair perfbench/tracing.py patches, and
+    polyceva.cli.json, exists, so renaming one fails here and not only
+    in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pairs = [(module, attr) for module, attr, *_ in tracing._PATCHES]
+    assert len(pairs) == 24
+    for module, attr in [*pairs, ("polyceva.cli", "json")]:
+        assert getattr(importlib.import_module(module), attr) is not None

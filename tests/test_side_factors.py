@@ -17,11 +17,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import polyceva.ceva
 from polyceva.ceva import CevaConfig, crossing_point, side_factors
 from polyceva.circle import (
     InscribedConfig,
-    SecondParam,
-    ThroughPoint,
     chord_telescoping_squared,
     inscribed_chord_product_squared,
     similar_triangles_relation,
@@ -89,11 +88,11 @@ def _inscribed_draw(rng, bound, concurrent, n_max=7):
     radius = F(rng.randint(1, bound), rng.randint(1, bound))
     params = tuple(sorted(rng.sample(pool, n)))
     if concurrent:
-        specs = (ThroughPoint(_point(rng, bound)),) * n
+        specs = (_point(rng, bound),) * n
     else:
         others = [u for u in pool if u not in params]
-        specs = tuple(ThroughPoint(_point(rng, bound)) if rng.random() < 0.3
-                      else SecondParam(rng.choice(others)) for _ in range(n))
+        specs = tuple(_point(rng, bound) if rng.random() < 0.3
+                      else rng.choice(others) for _ in range(n))
     return radius, params, specs, s, t
 
 
@@ -145,6 +144,32 @@ def test_inscribed_kernel_matches_oracle(bound, concurrent):
         assert seen["degenerate"] > 0 and seen["tangent"] > 0
 
 
+@pytest.mark.parametrize("kind", ["ceva", "inscribed"])
+def test_oracle_walks_its_own_sides(kind, monkeypatch):
+    """The oracle derives which sides each vertex line crosses without
+    polyceva.ceva: with every side of sides_hit shifted by one, the
+    kernel leaves the oracle's factors on every valid draw.  The shift
+    replaces the function's code, so it reaches every name bound to it."""
+    rng = random.Random(f"side-walk:{kind}")
+    config, oracle = ((CevaConfig, ceva_factors) if kind == "ceva" else
+                      (InscribedConfig, lambda *d: inscribed_factors(*d)[0]))
+    draws = []
+    for _ in range(40):
+        draw = (_ceva_draw(rng, 10) if kind == "ceva"
+                else _inscribed_draw(rng, 10, False))
+        try:
+            factors = config(*draw).factors
+        except (InvariantViolation, DegenerateConfig, Tangent):
+            continue
+        draws.append((draw, factors))
+    monkeypatch.setattr(polyceva.ceva.sides_hit, "__code__", (
+        lambda i, s, t, n: [(i + s + d) % n + 1 for d in range(t)]).__code__)
+    for draw, factors in draws:
+        assert _outcome(oracle, *draw) == factors
+        assert _outcome(lambda: config(*draw).factors) != factors
+    assert len(draws) > 10
+
+
 def _big_ceva_draw(rng, degenerate):
     """A ceva draw with ~300-digit coordinates.  A degenerate-prone one
     is a bound-2 draw under a random large affine map, which keeps every
@@ -168,8 +193,8 @@ def _big_inscribed_draw(rng, concurrent, degenerate):
         radius, params, specs, s, t = _inscribed_draw(rng, 2, concurrent,
                                                       n_max=12)
         k = abs(_big_rational(rng))
-        specs = tuple(ThroughPoint(Point(sp.point.x * k, sp.point.y * k))
-                      if isinstance(sp, ThroughPoint) else sp for sp in specs)
+        specs = tuple(Point(sp.x * k, sp.y * k) if isinstance(sp, Point)
+                      else sp for sp in specs)
         return k * radius, params, specs, s, t
     n, s, t = _shape(rng, 12)
     drawn = sorted({_big_rational(rng) for _ in range(2 * n)})
@@ -177,11 +202,11 @@ def _big_inscribed_draw(rng, concurrent, degenerate):
     others = [u for u in drawn if u not in params]
 
     def through():
-        return ThroughPoint(Point(_big_rational(rng), _big_rational(rng)))
+        return Point(_big_rational(rng), _big_rational(rng))
 
     specs = ((through(),) * n if concurrent else
              tuple(through() if rng.random() < 0.5
-                   else SecondParam(rng.choice(others)) for _ in range(n)))
+                   else rng.choice(others) for _ in range(n)))
     return abs(_big_rational(rng)), params, specs, s, t
 
 
@@ -272,8 +297,8 @@ def _aimed_draw(draw, rng, aim):
     else:
         target = Point(a_i.x - a_i.y, a_i.y + a_i.x)
     k = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
-    through = ThroughPoint(Point(a_i.x + (target.x - a_i.x) * k,
-                                 a_i.y + (target.y - a_i.y) * k))
+    through = Point(a_i.x + (target.x - a_i.x) * k,
+                    a_i.y + (target.y - a_i.y) * k)
     return radius, params, specs[:i] + (through,) + specs[i + 1:], s, t
 
 

@@ -20,8 +20,8 @@ ALL = [
     "Factor", "FuzzFailure", "FuzzReport", "GenParams", "GenerationExhausted",
     "GeometryError", "IdenticalPoints", "InscribedConfig", "InscribedReport",
     "InvalidRational", "InvariantViolation", "Line", "MalformedJson",
-    "NotConcurrent", "ParallelLines", "Point", "ProductReport", "SecondParam",
-    "Tangent", "ThroughPoint", "all_sides_product", "are_concurrent",
+    "NotConcurrent", "ParallelLines", "Point", "ProductReport", "Tangent",
+    "all_sides_product", "are_concurrent",
     "as_rational", "build_converse_counterexample", "ceva", "ceva_product",
     "chord_telescoping_squared", "circle", "classic_ceva_product",
     "concurrent_secants_check", "configio", "errors", "format_rational",
@@ -63,7 +63,7 @@ def test_package_import_loads_no_submodule():
 
 def test_all_is_unchanged():
     assert polyceva.__all__ == ALL
-    assert len(ALL) == 59
+    assert len(ALL) == 57
 
 
 def test_every_exported_name_resolves():

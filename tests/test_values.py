@@ -20,12 +20,7 @@ from polyceva.ceva import (
     build_converse_counterexample,
     ceva_product,
 )
-from polyceva.circle import (
-    InscribedConfig,
-    SecondParam,
-    ThroughPoint,
-    inscribed_identity_report,
-)
+from polyceva.circle import InscribedConfig, inscribed_identity_report
 from polyceva.frozen import Frozen
 from polyceva.fuzz import FuzzFailure, FuzzReport, GenParams
 from polyceva.geometry import Line, Point
@@ -39,8 +34,7 @@ def triangle_config() -> CevaConfig:
 
 def inscribed_config() -> InscribedConfig:
     return InscribedConfig(1, (-2, 0, "1/2"),
-                           (SecondParam(3), ThroughPoint(Point(F(1, 10), F(1, 10))),
-                            SecondParam(-1)), 1, 1)
+                           (3, Point(F(1, 10), F(1, 10)), -1), 1, 1)
 
 
 def failing_report() -> FuzzReport:
@@ -60,9 +54,8 @@ def failing_report() -> FuzzReport:
      "s=1, t=1)"),
     (inscribed_config(),
      "InscribedConfig(radius=Fraction(1, 1), params=(Fraction(-2, 1), "
-     "Fraction(0, 1), Fraction(1, 2)), line_specs=(SecondParam(v=Fraction(3, 1)), "
-     "ThroughPoint(point=Point(x=Fraction(1, 10), y=Fraction(1, 10))), "
-     "SecondParam(v=Fraction(-1, 1))), s=1, t=1)"),
+     "Fraction(0, 1), Fraction(1, 2)), line_specs=(Fraction(3, 1), "
+     "Point(x=Fraction(1, 10), y=Fraction(1, 10)), Fraction(-1, 1)), s=1, t=1)"),
     (GenParams(seed=3),
      "GenParams(seed=3, n_min=3, n_max=7, coordinate_bound=10, max_rejections=2000)"),
     (failing_report(),
@@ -80,8 +73,6 @@ def test_equality_and_hash_follow_the_fields():
     assert hash(Point(F(1, 2), 3)) == hash((F(1, 2), F(3)))
     assert Factor(1, 2, F(1)) != Factor(2, 1, F(1))
     assert Point(0, 0) != (F(0), F(0))
-    assert SecondParam(3) == SecondParam(3)
-    assert hash(SecondParam(3)) == hash((F(3),))
     with pytest.raises(TypeError):
         hash(failing_report())  # failures is a list
 
@@ -134,8 +125,7 @@ def test_point_and_line_reprs_pass_the_int_string_limit():
                      ((1, -9), (8, 2), (5, 11), (-6, 10), (-9, -3)))
     inscribed = InscribedConfig(
         big(2), (-big(2), F(1, 10 ** 999 + 1), big(1) / 2),
-        (SecondParam(big(3)), ThroughPoint(Point(big(1) / 10, big(1) / 10)),
-         SecondParam(-big(1) / 4)), 1, 1)
+        (big(3), Point(big(1) / 10, big(1) / 10), -big(1) / 4), 1, 1)
     derived = (report.factors[0], report,
                build_converse_counterexample(pentagon, Point(big(1) / 3, big(2) / 5)),
                inscribed_identity_report(inscribed))
@@ -144,7 +134,7 @@ def test_point_and_line_reprs_pass_the_int_string_limit():
         assert max(map(len, re.findall(r"[0-9]+", text))) > 4300  # the default
         assert repr(value) == text
     with int_string_limit(640):
-        for value in (SecondParam(big(3)), inscribed, *derived):
+        for value in (inscribed, *derived):
             assert repr(value) == unlimited_repr(value)
 
 
