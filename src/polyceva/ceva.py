@@ -113,12 +113,19 @@ class CevaConfig(Frozen):
 def _polygon_triples(vertices: tuple[Point, ...], pivot: Point
                      ) -> tuple[list[Homogeneous], Homogeneous]:
     """Homogeneous triples of the vertices and of the pivot, once the
-    vertices are checked pairwise distinct and the pivot off them."""
-    if len(set(vertices)) != len(vertices):
+    vertices are checked pairwise distinct and the pivot off them.
+
+    The triples are canonical (least W, gcd(X, Y, W) = 1), so two points
+    are equal exactly when their triples are: both checks compare the
+    triples' ints and hash no Fraction."""
+    triples = [homogeneous(v) for v in vertices]
+    distinct = set(triples)
+    if len(distinct) != len(triples):
         raise InvariantViolation("vertices must be pairwise distinct")
-    if pivot in vertices:
+    m = homogeneous(pivot)
+    if m in distinct:
         raise InvariantViolation("pivot coincides with a vertex")
-    return [homogeneous(v) for v in vertices], homogeneous(pivot)
+    return triples, m
 
 
 class Factor(Frozen):

@@ -120,6 +120,7 @@ class InscribedConfig(Frozen):
         vertices = [_pair_triple(pair, a, b) for pair in pairs]
         # Each d_i as its second point P_i, homogeneous, and the pair of
         # its second circle point M'_i.
+        vertex_pairs = set(pairs)
         lines = []
         for i, spec in enumerate(line_specs, start=1):
             if isinstance(spec, Point):
@@ -138,11 +139,11 @@ class InscribedConfig(Frozen):
                 lines.append(((x_p, y_p, w_p),
                               (-(dx * q + dy * p), dy * q - dx * p)))
             elif isinstance(spec, Fraction):
-                if spec in params:
+                pair = (spec.numerator, spec.denominator)
+                if pair in vertex_pairs:
                     raise InvariantViolation(
                         f"line {i}: second parameter {format_rational(spec)} "
                         "is a vertex parameter")
-                pair = (spec.numerator, spec.denominator)
                 lines.append((_pair_triple(pair, a, b), pair))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
@@ -192,10 +193,12 @@ class InscribedConfig(Frozen):
 
     @property
     def common_point(self) -> Point | None:
-        """The one point every d_i is specified through, or None."""
-        points = {spec if isinstance(spec, Point) else None
-                  for spec in self.line_specs}
-        return points.pop() if len(points) == 1 else None
+        """The one point every d_i is specified through, or None.  Each
+        spec is compared with the first, so no Point is hashed."""
+        first, *rest = self.line_specs
+        if isinstance(first, Point) and all(spec == first for spec in rest):
+            return first
+        return None
 
     def vertex(self, i: int) -> Point:
         """1-based cyclic vertex access; any integer index wraps mod n."""

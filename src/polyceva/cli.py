@@ -30,6 +30,7 @@ from .circle import (
 from .configio import (
     MAX_BYTES,
     CounterexampleInput,
+    ReportEncoder,
     ceva_run_report,
     counterexample_run_report,
     inscribed_run_report,
@@ -116,7 +117,7 @@ def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         _print_pretty(report)
     else:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, cls=ReportEncoder))
 
 
 def _print_pretty(report: dict) -> None:
@@ -188,7 +189,7 @@ def _cmd_fuzz(args) -> int:
     else:
         report = _lazy("fuzz_inscribed")(params, args.trials,
                                          concurrent=args.kind == "concurrent")
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2, cls=ReportEncoder))
     return 0 if not report.failures else 1
 
 

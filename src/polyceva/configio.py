@@ -17,11 +17,15 @@ listed in _FIELDS.  Parse errors name the offending field; structural
 invariant failures raise InvariantViolation while geometric degeneracy
 raises DegenerateConfig, because the CLI maps them to different exit
 codes.
+
+Run reports are plain dicts.  Their text is exactly
+``json.dumps(doc, indent=2)``, written in one pass by `ReportEncoder`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -313,3 +317,91 @@ def counterexample_run_report(result: Counterexample, seed: int) -> dict:
             "meet_points": [point_to_json(p) for p in result.meet_points],
         },
     }
+
+
+class ReportEncoder(json.JSONEncoder):
+    """Writes exactly the text of ``json.dumps(doc, indent=2)``, in one
+    pass.
+
+    Given an indent, json's own encoder (CPython 3.10-3.13) runs its
+    pure-Python generators item by item; this one appends each item's
+    text to one list.  Pass it as
+    ``json.dumps(doc, indent=2, cls=ReportEncoder)``: the options are
+    not read, the text is always that of ``indent=2``.  It covers dicts
+    with str keys, lists and tuples, str, int, finite float, bool and
+    None.  Any other value raises TypeError, as json does, and a NaN or
+    infinity ValueError, as json does with ``allow_nan=False``.
+    """
+
+    def encode(self, o) -> str:
+        parts: list[str] = []
+        _write(o, "\n", parts.append)
+        return "".join(parts)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+
+
+def _write(o, nl: str, add) -> None:
+    """Add the text of ``o`` to ``add``, ``nl`` being the newline and
+    indent of the line it starts on.  Strings, the most common values,
+    are written in place; only containers recurse."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            add("{}")
+            return
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in o.items():
+            add(sep)
+            add(_escape(key))
+            add(": ")
+            sep = comma
+            if isinstance(value, str):
+                add(_escape(value))
+            elif value.__class__ is int:
+                # Factor indices: the most common value that is not a str.
+                add(int.__repr__(value))
+            elif isinstance(value, _CONTAINERS):
+                _write(value, inner, add)
+            else:
+                add(_scalar(value))
+        add(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            add("[]")
+            return
+        comma = "," + inner
+        sep = "[" + inner
+        for value in o:
+            add(sep)
+            sep = comma
+            if isinstance(value, str):
+                add(_escape(value))
+            elif isinstance(value, _CONTAINERS):
+                _write(value, inner, add)
+            else:
+                add(_scalar(value))
+        add(nl + "]")
+    else:
+        add(_escape(o) if isinstance(o, str) else _scalar(o))
+
+
+def _scalar(o) -> str:
+    """The JSON text of a value that is neither a str nor a container."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        raise ValueError("Out of range float values are not JSON compliant")
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    "is not JSON serializable")

@@ -311,7 +311,8 @@ class TestConfigValidation:
             CevaConfig(TRIANGLE, pt(1, 1), 2, 1)
 
     def test_duplicate_vertices(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation,
+                           match="vertices must be pairwise distinct"):
             CevaConfig((pt(0, 0), pt(4, 0), pt(0, 0)), pt(1, 1), 1, 1)
 
     def test_vertex_limit(self):
@@ -321,7 +322,7 @@ class TestConfigValidation:
             CevaConfig(polygon, pt(F(1, 2), F(1, 3)), 128, 1)
 
     def test_pivot_on_vertex(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="pivot coincides with a vertex"):
             CevaConfig(TRIANGLE, pt(4, 0), 1, 1)
 
     def test_foot_on_vertex(self):

@@ -458,6 +458,38 @@ def test_python_m_entry_point(capsys, module):
     assert proc.stdout == expected
 
 
+class _RecordingJson:
+    """Stands in for ``polyceva.cli.json``, recording each ``dumps``
+    call, as a tracer wrapping ``json.dumps`` does."""
+
+    def __init__(self):
+        self.calls = []
+
+    def dumps(self, doc, **kwargs):
+        text = json.dumps(doc, **kwargs)
+        self.calls.append((kwargs, text))
+        return text
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", str(TRIANGLE)], ["counterexample", str(COUNTEREXAMPLE)],
+    ["fuzz", "--trials", "5", "--seed", "3"]], ids=lambda argv: argv[0])
+def test_each_report_is_one_json_dumps_call(monkeypatch, capsys, argv):
+    """Every JSON report is printed from one ``cli.json.dumps`` call, so a
+    tracer that wraps it times all of emission."""
+    recorder = _RecordingJson()
+    monkeypatch.setattr(cli, "json", recorder)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(recorder.calls) == 1
+    kwargs, text = recorder.calls[0]
+    assert kwargs == {"indent": 2, "cls": cli.ReportEncoder}
+    assert out == text + "\n"
+
+
 GOLDENS = sorted(CONFIG_DIR.glob("*.json"))
 _KEYS = st.sampled_from(["kind", "vertices", "M", "s", "t", "radius", "params",
                          "lines", "seed", "second_param", "through"])

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polyceva.ceva
 import polyceva.circle
@@ -15,6 +16,7 @@ from polyceva.configio import (
     MAX_BYTES,
     MAX_WORK,
     CounterexampleInput,
+    ReportEncoder,
     config_to_dict,
     parse_config,
 )
@@ -26,6 +28,8 @@ from polyceva.errors import (
 )
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 from polyceva.geometry import Point
+
+from _golden import CASES, expected as golden_expected
 
 TRIANGLE_DOC = {
     "kind": "ceva",
@@ -54,7 +58,22 @@ class TestParseCeva:
 
     def test_pivot_on_vertex(self):
         doc = dict(TRIANGLE_DOC, M=["4", "0"])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="pivot coincides with a vertex"):
+            parse_config(dumps(doc))
+
+    # Points are compared as canonical integers, so any spelling of a
+    # vertex's coordinates is that vertex.
+    def test_pivot_spelled_apart_from_its_vertex(self):
+        doc = dict(TRIANGLE_DOC, M=["8/2", "0"])
+        with pytest.raises(InvariantViolation, match="pivot coincides with a vertex"):
+            parse_config(dumps(doc))
+
+    @pytest.mark.parametrize("first, second", [("1/2", "2/4"), ("0", "-0"),
+                                               ("+3", "3")])
+    def test_duplicate_vertex_spellings(self, first, second):
+        doc = dict(TRIANGLE_DOC, vertices=[[first, "1"], ["4", "0"], [second, "1"]])
+        with pytest.raises(InvariantViolation,
+                           match="vertices must be pairwise distinct"):
             parse_config(dumps(doc))
 
     def test_degenerate_geometry_is_not_a_parse_error(self):
@@ -138,6 +157,24 @@ class TestParseInscribed:
         assert all(isinstance(spec, Point) for spec in cfg.line_specs)
         assert cfg == InscribedConfig(1, (-2, 0, "1/2", 3),
                                       (Point("1/10", "1/10"),) * 4, 1, 2)
+
+    def test_second_param_spelled_apart_from_a_vertex_parameter(self):
+        doc = dict(INSCRIBED_DOC)
+        doc["lines"] = [{"second_param": "2/4"}] + doc["lines"][1:]
+        with pytest.raises(InvariantViolation,
+                           match="line 1: second parameter 1/2 is a vertex parameter"):
+            parse_config(dumps(doc))
+
+    def test_common_point_of_separately_parsed_points(self):
+        doc = dict(INSCRIBED_DOC, params=["-2", "0", "1/2", "3"], s=1, t=2)
+        spellings = [["1/10", "1/10"], ["2/20", "+1/10"], ["10/100", "1/10"],
+                     ["+1/10", "3/30"]]
+        doc["lines"] = [{"through": point} for point in spellings]
+        cfg = parse_config(dumps(doc))
+        assert len({id(spec) for spec in cfg.line_specs}) == 4
+        assert cfg.common_point == Point("1/10", "1/10")
+        doc["lines"][2] = {"through": ["1/10", "1/9"]}
+        assert parse_config(dumps(doc)).common_point is None
 
     def test_non_increasing_params(self):
         doc = dict(INSCRIBED_DOC, params=["0", "0", "1", "2", "3"])
@@ -403,3 +440,61 @@ class TestByteLimit:
         assert len(doc) == MAX_BYTES
         cfg = parse_config(doc.encode() if encode else doc)
         assert cfg == parse_config(dumps(TRIANGLE_DOC))
+
+
+def report_text(doc) -> str:
+    return json.dumps(doc, indent=2, cls=ReportEncoder)
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII
+# (also outside the BMP) next to plain ones.
+_TEXT = st.text(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600a ')
+                | st.characters(), max_size=12)
+_SCALARS = (st.none() | st.booleans() | _TEXT
+            | st.integers() | st.integers(-10**1000, 10**1000)
+            | st.floats(allow_nan=False, allow_infinity=False))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestReportEncoder:
+    """The one-pass writer against json's own indent=2 encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCS)
+    @example(doc={"big": [10**999, -(10**999)], "empty": [[], (), {}],
+                  "nested": {"a": [{"b": ()}]}})
+    @example(doc=[])
+    @example(doc="\"\\\x01\u00e9")
+    def test_matches_json(self, doc):
+        assert report_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, argv in CASES.items()
+        if argv[0] in ("verify", "counterexample", "fuzz")))
+    def test_matches_json_on_golden_reports(self, name):
+        code, out, _ = golden_expected(name)
+        if not out:
+            # A rejected input prints no report.
+            assert code in (2, 3)
+            return
+        doc = json.loads(out)
+        assert report_text(doc) == json.dumps(doc, indent=2) == out[:-1]
+
+    @pytest.mark.parametrize("doc", [
+        Fraction(1, 2), {"value": Fraction(1, 2)}, [1, {"a": [Point(0, 0)]}],
+        {1, 2}, b"bytes"], ids=["top", "in-dict", "nested", "set", "bytes"])
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            report_text(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise(self, value):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            report_text({"x": [value]})
