@@ -50,7 +50,11 @@ def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
     """
     if 2 * s + t != n:
         raise ValueError(f"need 2s + t = n, got s={s}, t={t}, n={n}")
-    return [idx_shift(i, s + d, n) for d in range(t)]
+    # idx_shift(i, s + d, n) per side, its range check made once, and
+    # only when there is a side.
+    if t > 0 and not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range 1..{n}")
+    return [(i - 1 + s + d) % n + 1 for d in range(t)]
 
 
 # Most vertices a config may have.  A config computes up to n*(n-2) side
@@ -129,19 +133,45 @@ def _polygon_triples(vertices: tuple[Point, ...], pivot: Point
 
 
 class Factor(Frozen):
-    """One ratio of the product: cevian vertex i, side j, signed value."""
+    """One ratio of the product: cevian vertex i, side j, signed value.
+
+    The value is held as its canonical integer pair ``num``/``den``
+    (gcd 1, den > 0); ``value`` builds the Fraction from it on each
+    access.  repr, == and hash read ``value``, so they are those of the
+    Fraction."""
 
     _fields = ("i", "j", "value")
     i: int
     j: int
-    value: Fraction
+    num: int
+    den: int
 
     # Built n*t times per config: this takes half the inherited one's time.
     def __init__(self, i: int, j: int, value: Fraction):
         d = self.__dict__
         d["i"] = i
         d["j"] = j
-        d["value"] = value
+        d["num"] = value.numerator
+        d["den"] = value.denominator
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+
+def _factor(i: int, j: int, num: int, den: int) -> Factor:
+    """Factor(i, j, Fraction(num, den)) for nonzero num and den, built
+    with one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    f = object.__new__(Factor)
+    d = f.__dict__
+    d["i"] = i
+    d["j"] = j
+    d["num"] = num // g
+    d["den"] = den // g
+    return f
 
 
 class ProductReport(Frozen):
@@ -175,18 +205,19 @@ def factor_product(factors: Sequence[Factor]) -> tuple[int, int]:
     plain ints, with no gcd.
     """
     runs = []
-    vertex = None
+    vertex = c = d = None  # the open run: vertex i and its pair c/d
     for f in factors:
-        value = f.value
-        a, b = value.numerator, value.denominator
         if f.i == vertex:
-            c, d = runs[-1]
+            a, b = f.num, f.den
             g = math.gcd(a, d)
             h = math.gcd(c, b)
-            runs[-1] = (a // g) * (c // h), (b // h) * (d // g)
+            c, d = (a // g) * (c // h), (b // h) * (d // g)
         else:
-            runs.append((a, b))
-            vertex = f.i
+            if vertex is not None:
+                runs.append((c, d))
+            vertex, c, d = f.i, f.num, f.den
+    if vertex is not None:
+        runs.append((c, d))
     while len(runs) > 1:
         paired = [(a * c, b * d)
                   for (a, b), (c, d) in zip(runs[::2], runs[1::2])]
@@ -217,8 +248,10 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
     product (a, b, c) of A_i and P takes the value a*X_V + b*Y_V +
     c*W_V = W_A W_P W_V [A_i P V] at V, a positive multiple of the
     area.  The line is evaluated once at each of the t + 1 endpoints of
-    its sides, and a factor is the one quotient
-    (near * W_far) / (far * W_near), which no triple's scale changes.
+    its sides, walking them in order, each side's far endpoint being the
+    next one's near endpoint.  A factor is the one quotient
+    (near * W_far) / (far * W_near), which no triple's scale changes,
+    reduced to lowest terms.
     """
     n = len(vertices)
     x_p, y_p, w_p = point
@@ -227,20 +260,22 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
     b = w_a * x_p - x_a * w_p
     c = x_a * y_p - y_a * x_p
     sides = sides_hit(i, s, t, n)
-    ends = [vertices[j - 1] for j in sides] + [vertices[sides[-1] % n]]
-    values = [a * x + b * y + c * w for x, y, w in ends]
+    x, y, w_near = vertices[sides[0] - 1]
+    near = a * x + b * y + c * w_near
     factors = []
-    for d, j in enumerate(sides):
-        near, far = values[d], values[d + 1]
-        num = near * ends[d + 1][2]
-        den = far * ends[d][2]
+    for j in sides:
+        x, y, w_far = vertices[j % n]
+        far = a * x + b * y + c * w_far
+        num = near * w_far
+        den = far * w_near
         if num == den:
             raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
                                    "vertex line is parallel to the side-line")
         if near == 0 or far == 0:
             raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
                                    "crossing lands on a side endpoint")
-        factors.append(Factor(i, j, Fraction(num, den)))
+        factors.append(_factor(i, j, num, den))
+        near, w_near = far, w_far
     return factors
 
 

@@ -105,18 +105,20 @@ class InscribedConfig(Frozen):
         params = tuple(as_rational(u) for u in params)
         line_specs = tuple(as_rational(spec) if isinstance(spec, (int, str))
                            else spec for spec in line_specs)
-        if radius <= 0:
+        a, b = radius.numerator, radius.denominator
+        if a <= 0:
             raise InvariantViolation(
                 f"radius must be positive, got {format_rational(radius)}")
         n = len(params)
         validate_split(n, s, t)
-        if any(a >= b for a, b in zip(params, params[1:])):
+        pairs = tuple((u.numerator, u.denominator) for u in params)
+        # p/q < p'/q' cross-multiplied: denominators are positive.
+        if any(p * q_next >= p_next * q
+               for (p, q), (p_next, q_next) in zip(pairs, pairs[1:])):
             raise InvariantViolation("circle parameters must be strictly increasing")
         if len(line_specs) != n:
             raise InvariantViolation(
                 f"need one line spec per vertex, got {len(line_specs)}")
-        a, b = radius.numerator, radius.denominator
-        pairs = tuple((u.numerator, u.denominator) for u in params)
         vertices = [_pair_triple(pair, a, b) for pair in pairs]
         # Each d_i as its second point P_i, homogeneous, and the pair of
         # its second circle point M'_i.
@@ -269,11 +271,11 @@ def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
     pairs = cfg.param_pairs
     a_j = pairs[j - 1]
     a_jn = pairs[j % n]
-    ratio = cfg.factors[(i - 1) * cfg.t].value
+    ratio = cfg.factors[(i - 1) * cfg.t]
     m_num, m_den = _chord_ratio(cfg.m_prime_pairs[i - 1], a_j, a_jn)
     a_num, a_den = _chord_ratio(pairs[i - 1], a_j, a_jn)
-    return (ratio.numerator ** 2 * m_den * a_den
-            == ratio.denominator ** 2 * m_num * a_num)
+    return (ratio.num ** 2 * m_den * a_den
+            == ratio.den ** 2 * m_num * a_num)
 
 
 def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:

@@ -141,11 +141,19 @@ def _print_pretty(report: dict) -> None:
     print(f"holds    {'yes' if report['holds'] else 'NO'}")
 
 
+# First read of a config file, in bytes: a typical config fits, and a
+# read of MAX_BYTES + 1 would allocate its whole buffer on every call.
+_FIRST_READ = 2**16
+
+
 def _read(path: Path) -> bytes:
     """The config file, read up to one byte past MAX_BYTES: a longer file
     is rejected by parse_config without being read in full."""
     with path.open("rb") as f:
-        return f.read(MAX_BYTES + 1)
+        data = f.read(_FIRST_READ)
+        if len(data) == _FIRST_READ:
+            data += f.read(MAX_BYTES + 1 - _FIRST_READ)
+        return data
 
 
 def _verify_report(parsed) -> dict:

@@ -32,7 +32,7 @@ from typing import Union
 from .ceva import MAX_VERTICES, CevaConfig, Counterexample, ProductReport
 from .circle import InscribedConfig, InscribedReport
 from .errors import InvalidRational, InvariantViolation, MalformedJson
-from .frozen import Frozen
+from .frozen import Frozen, rational_text
 from .geometry import Point, format_rational, parse_rational
 
 
@@ -128,9 +128,12 @@ def _points(doc: dict, key: str) -> tuple[Point, ...]:
 
 
 def _bits(*values: Fraction) -> int:
-    """Largest bit length among the numerators and denominators."""
-    return max((max(v.numerator.bit_length(), v.denominator.bit_length())
-                for v in values), default=0)
+    """Largest bit length among the numerators and denominators: that of
+    all of them ORed together."""
+    union = 0
+    for v in values:
+        union |= abs(v.numerator) | v.denominator
+    return union.bit_length()
 
 
 def _check_work(n: int, t: int, bits: int, product_bits: int) -> None:
@@ -259,7 +262,8 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
 
 
 def _factor_entries(factors) -> list[dict]:
-    return [{"i": f.i, "j": f.j, "value": format_rational(f.value)}
+    # The text of format_rational(f.value), from the stored pair.
+    return [{"i": f.i, "j": f.j, "value": rational_text(f.num, f.den)}
             for f in factors]
 
 

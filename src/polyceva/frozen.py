@@ -9,11 +9,13 @@ writes its own ``__init__``, which calls ``Frozen.__init__`` once with
 the checked values; results it stores beyond its fields (computed once,
 at construction) it then sets in ``self.__dict__`` itself.  Only
 ``Point`` and ``Factor``, built once per coordinate pair and once per
-side ratio, set their fields in ``self.__dict__`` by hand: that takes
-half the time of the inherited constructor.  ``repr``, ``==`` and
-``hash`` use exactly the fields, so stored results are left out of all
-three.  After construction, assigning or deleting any attribute raises
-AttributeError.
+side ratio, set their attributes in ``self.__dict__`` by hand: that
+takes half the time of the inherited constructor.  ``Factor`` stores
+its value as the integer pair ``num``/``den`` and reads its ``value``
+field through a property, which builds the Fraction.  ``repr``, ``==``
+and ``hash`` use exactly the fields, so stored results are left out of
+all three.  After construction, assigning or deleting any attribute
+raises AttributeError.
 
 ``repr`` spells every int and Fraction through `to_decimal`, so a value
 prints under any int-string limit: error messages embed values whose
@@ -42,6 +44,14 @@ def to_decimal(n: int) -> str:
     low = n.bit_length() * 30103 // 200000
     high, rest = divmod(n, 10 ** low)
     return to_decimal(high) + to_decimal(rest).zfill(low)
+
+
+def rational_text(num: int, den: int) -> str:
+    """The wire text of the rational num/den, given in lowest terms with
+    den > 0: "p/q", or "p" when den is 1."""
+    if den == 1:
+        return to_decimal(num)
+    return f"{to_decimal(num)}/{to_decimal(den)}"
 
 
 def _spell(value) -> str:

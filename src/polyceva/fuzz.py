@@ -157,14 +157,17 @@ def _build_inscribed(rng: random.Random, params: GenParams,
     bound = params.coordinate_bound
     n, s, t = _draw_shape(rng, params)
     radius = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-    values: set[Fraction] = set()
+    # Parameters keyed by their (numerator, denominator) pairs, which
+    # hash far faster than the Fractions.
+    values: dict[tuple[int, int], Fraction] = {}
     for _ in range(64 * n):
-        values.add(_rand_rational(rng, bound))
+        u = _rand_rational(rng, bound)
+        values[u.numerator, u.denominator] = u
         if len(values) == n:
             break
     else:
         raise InvariantViolation(f"no {n} distinct parameters drawn")
-    us = tuple(sorted(values))
+    us = tuple(sorted(values.values()))
     if concurrent:
         specs: tuple = (_rand_point(rng, bound),) * n
     else:
@@ -172,7 +175,7 @@ def _build_inscribed(rng: random.Random, params: GenParams,
         for _ in range(n):
             for _ in range(64):
                 v = _rand_rational(rng, bound)
-                if v not in values:
+                if (v.numerator, v.denominator) not in values:
                     drawn.append(v)
                     break
         if len(drawn) < n:

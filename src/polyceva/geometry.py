@@ -27,7 +27,7 @@ from .errors import (
     InvalidRational,
     ParallelLines,
 )
-from .frozen import Frozen, to_decimal
+from .frozen import Frozen, rational_text
 
 RationalLike = Union[Fraction, int, str]
 
@@ -57,10 +57,12 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise InvalidRational(f"not a rational string: {text!r}")
-    if any(part and len(part) > MAX_DIGITS for part in match.groups()):
+    digits, den_digits = match.groups()
+    # Only a text longer than MAX_DIGITS can hold a part that is.
+    if (len(text) > MAX_DIGITS
+            and max(len(digits), len(den_digits or "")) > MAX_DIGITS):
         raise InvalidRational(
             f"rational has more than {MAX_DIGITS} digits in a part")
-    digits, den_digits = match.groups()
     num = _from_decimal(digits)
     if text[0] == "-":
         num = -num
@@ -74,10 +76,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize to "p/q", or "p" when the denominator is 1."""
-    num = to_decimal(value.numerator)
-    if value.denominator == 1:
-        return num
-    return f"{num}/{to_decimal(value.denominator)}"
+    return rational_text(value.numerator, value.denominator)
 
 
 # Python limits str -> int conversion as it limits int -> str (see

@@ -1,6 +1,7 @@
 """Engine tests for the polygon product identity and its specializations."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from polyceva.geometry import (
     point_from_ratio,
 )
 from polyceva.circle import inscribed_identity_report
+from polyceva.configio import ceva_run_report
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 
 from _exact_oracle import (
@@ -177,6 +179,63 @@ class TestFactorProduct:
                                              trial)
             assert (inscribed_identity_report(inscribed).lhs
                     == fraction_product(inscribed.factors))
+
+
+def _seeded_factors(kind: str, configs: int = 200):
+    """Every factor of the first ``configs`` seeded configs of a kind."""
+    params = GenParams(seed=1717, n_min=3, n_max=9)
+    for trial in range(configs):
+        if kind == "ceva":
+            cfg = gen_ceva_config(params, trial)
+        else:
+            cfg = gen_inscribed_config(params, trial,
+                                       concurrent=kind == "concurrent")
+        yield from cfg.factors
+
+
+KINDS = ["ceva", "inscribed", "concurrent"]
+
+
+class TestFactorPair:
+    """A Factor holds its value as the canonical integer pair num/den."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernel_pairs_are_canonical(self, kind):
+        for f in _seeded_factors(kind):
+            assert math.gcd(f.num, f.den) == 1 and f.den > 0
+            assert F(f.num, f.den) == f.value
+            assert (f.value.numerator, f.value.denominator) == (f.num, f.den)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernel_and_constructor_agree(self, kind):
+        for f in _seeded_factors(kind):
+            built = Factor(f.i, f.j, f.value)
+            assert built == f and hash(built) == hash(f)
+            assert (built.num, built.den) == (f.num, f.den)
+            assert repr(built) == repr(f)
+
+    def test_no_fraction_per_factor(self):
+        """Building, multiplying and reporting a ceva config's 195 factors
+        makes no Fraction per factor."""
+        vertices = tuple(pt(k, k * k) for k in range(15))
+        pivot = Point(F(22, 3), F(561, 7))
+        code = F.__new__.__code__
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is code:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            cfg = CevaConfig(vertices, pivot, 1, 13)
+            report = ceva_product(cfg)
+            doc = ceva_run_report(cfg, report)
+        finally:
+            sys.setprofile(None)
+        assert len(doc["factors"]) == 195 and report.holds
+        assert calls < 10
 
 
 class TestCevaProduct:

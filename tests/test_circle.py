@@ -68,6 +68,12 @@ class TestInscribedConfigValidation:
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), (F(1), F(0), F(2)),
                             (F(7),) * 3, 1, 1)
+        # Equal values, and a step down between different denominators.
+        for params in [(F(0), F(1, 2), F(2, 4)), (F(-4, 3), F(-3, 2), F(5))]:
+            with pytest.raises(InvariantViolation,
+                               match="^circle parameters must be strictly "
+                                     "increasing$"):
+                InscribedConfig(F(1), params, (F(7),) * 3, 1, 1)
 
     def test_second_param_not_a_vertex(self):
         with pytest.raises(InvariantViolation):
@@ -93,6 +99,10 @@ class TestInscribedConfigValidation:
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(-1), PENTAGON_US,
                             PENTAGON_VS, 2, 1)
+        for radius, text in [(F(0), "0"), (F(-1, 3), "-1/3")]:
+            with pytest.raises(InvariantViolation,
+                               match=f"^radius must be positive, got {text}$"):
+                InscribedConfig(radius, PENTAGON_US, PENTAGON_VS, 2, 1)
 
     def test_tangent_line_rejected(self):
         # The vertical through (1, 0) is tangent to the unit circle.

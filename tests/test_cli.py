@@ -177,6 +177,32 @@ class TestVerify:
         assert err == f"error: config is longer than {MAX_BYTES} bytes\n"
         assert seen == [MAX_BYTES + 1]
 
+    @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, "max"])
+    def test_file_read_in_full(self, capsys, monkeypatch, tmp_path, size):
+        """Files around the first read's 64 KiB, and one of exactly
+        MAX_BYTES, are read in full and verify as the config they pad."""
+        from polyceva.configio import MAX_BYTES
+        size = MAX_BYTES if size == "max" else size
+        seen = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda data: seen.append(len(data)) or parse(data))
+        text = TRIANGLE.read_bytes()
+        path = tmp_path / "padded.json"
+        path.write_bytes(text + b" " * (size - len(text)))
+        _, want, _ = run_cli(capsys, "verify", str(TRIANGLE))
+        assert run_cli(capsys, "verify", str(path)) == (0, want, "")
+        assert seen == [len(text), size]
+
+    def test_file_one_byte_over_limit(self, capsys, tmp_path):
+        from polyceva.configio import MAX_BYTES
+        text = TRIANGLE.read_bytes()
+        path = tmp_path / "long.json"
+        path.write_bytes(text + b" " * (MAX_BYTES + 1 - len(text)))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: config is longer than {MAX_BYTES} bytes\n"
+
     def test_degenerate_exits_three(self, capsys, tmp_path):
         doc = json.loads(TRIANGLE.read_text())
         doc["M"] = ["0", "2"]

@@ -299,6 +299,16 @@ class TestWorkBudget:
                       "lines": [{"second_param": "1/3"}] * self.N,
                       "s": 1, "t": self.N - 2})
 
+    @given(st.lists(st.fractions(max_denominator=2**80)
+                    | st.integers(-2**90, 2**90).map(Fraction)))
+    @example([])
+    @example([Fraction(-2**70), Fraction(1, 2**70 - 1)])
+    def test_operand_bits(self, values):
+        """The largest bit length among numerators and denominators."""
+        assert polyceva.configio._bits(*values) == max(
+            (max(v.numerator.bit_length(), v.denominator.bit_length())
+             for v in values), default=0)
+
     def test_boundary(self):
         assert _work(self.N, self.N - 2, self.BITS, self.BITS) <= MAX_WORK
         assert _work(self.N, self.N - 2, self.BITS + 1, self.BITS + 1) > MAX_WORK

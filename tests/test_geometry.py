@@ -75,8 +75,11 @@ class TestRationalWire:
 
     def test_digit_limit(self):
         assert parse_rational("-" + "9" * MAX_DIGITS + "/1") == -(10 ** MAX_DIGITS - 1)
-        for bad in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)):
-            with pytest.raises(InvalidRational):
+        longest = "9" * MAX_DIGITS
+        assert parse_rational(f"+{longest}/{longest}") == 1
+        for bad in ("9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1),
+                    f"-{longest}9/1", f"{longest}/{longest}9"):
+            with pytest.raises(InvalidRational, match="digits in a part"):
                 parse_rational(bad)
 
     @given(rationals)
