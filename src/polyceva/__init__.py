@@ -27,14 +27,13 @@ _EXPORTS = {
     "ceva": (
         "CevaConfig", "Counterexample", "Factor", "ProductReport",
         "all_sides_product", "build_converse_counterexample", "ceva_product",
-        "classic_ceva_product", "idx_shift", "opposite_vertex_product",
-        "side_factors", "sides_hit",
+        "classic_ceva_product", "opposite_vertex_product", "side_factors",
+        "sides_hit",
     ),
     "circle": (
         "InscribedConfig", "InscribedReport", "chord_telescoping_squared",
         "concurrent_secants_check", "inscribed_chord_product_squared",
         "inscribed_identity_report", "similar_triangles_relation",
-        "vertex_lines",
     ),
     "fuzz": (
         "FuzzFailure", "FuzzReport", "GenParams", "fuzz_ceva",

@@ -33,16 +33,6 @@ from .geometry import (
 )
 
 
-def idx_shift(i: int, k: int, n: int) -> int:
-    """Apply the cyclic successor permutation k times to a 1-based index.
-
-    k may be negative; the result is always in 1..n.
-    """
-    if n < 1 or not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    return (i - 1 + k) % n + 1
-
-
 def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
     """Side indices j whose line A_j A_{j+1} is crossed by the cevian at A_i.
 
@@ -50,8 +40,8 @@ def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
     """
     if 2 * s + t != n:
         raise ValueError(f"need 2s + t = n, got s={s}, t={t}, n={n}")
-    # idx_shift(i, s + d, n) per side, its range check made once, and
-    # only when there is a side.
+    # Vertex i shifted cyclically by s + d per side, i itself checked
+    # once, and only when there is a side.
     if t > 0 and not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
     return [(i - 1 + s + d) % n + 1 for d in range(t)]
@@ -109,10 +99,6 @@ class CevaConfig(Frozen):
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex(self, i: int) -> Point:
-        """1-based cyclic vertex access; any integer index wraps mod n."""
-        return self.vertices[(i - 1) % self.n]
-
 
 def _polygon_triples(vertices: tuple[Point, ...], pivot: Point
                      ) -> tuple[list[Homogeneous], Homogeneous]:
@@ -146,7 +132,8 @@ class Factor(Frozen):
     num: int
     den: int
 
-    # Built n*t times per config: this takes half the inherited one's time.
+    # Stores the value's pair, not the Fraction.  The kernel builds its
+    # factors through _factor, so only callers holding a Fraction use this.
     def __init__(self, i: int, j: int, value: Fraction):
         d = self.__dict__
         d["i"] = i

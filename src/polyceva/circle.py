@@ -34,7 +34,6 @@ from .errors import (
 from .frozen import Frozen
 from .geometry import (
     Homogeneous,
-    Line,
     Point,
     RationalLike,
     as_rational,
@@ -42,7 +41,7 @@ from .geometry import (
     homogeneous,
     line_through,
 )
-from .ceva import Factor, factor_product, idx_shift, side_factors, validate_split
+from .ceva import Factor, factor_product, side_factors, validate_split
 
 # A circle parameter p/q as the integer pair [p : q]; any nonzero
 # multiple names the same point.
@@ -84,9 +83,9 @@ class InscribedConfig(Frozen):
     the vertex pairs ``param_pairs``, the pairs ``m_prime_pairs`` of the
     M'_i and the n*t side ratios ``factors``, which repr, == and hash
     leave out: vertex i's t ratios, in sides_hit order, are
-    factors[(i-1)*t : i*t].  ``vertices``, ``line_points`` (a second
-    point P_i of each d_i) and ``m_primes`` are Points built from those
-    on each access.
+    factors[(i-1)*t : i*t].  ``vertices`` and ``m_primes`` are Points
+    built from those on each access; d_i is the line through A_i and
+    M'_i, which differ once construction has passed.
     """
 
     _fields = ("radius", "params", "line_specs", "s", "t")
@@ -159,7 +158,7 @@ class InscribedConfig(Frozen):
             p_a, q_a = pairs[i]
             if p * q_a == p_a * q:
                 # M'_i = A_i: the line only touches the circle there.
-                a_i = self.vertex(i + 1)
+                a_i = _pair_point(pairs[i], radius)
                 raise Tangent(f"line {line_through(a_i, line_specs[i])} "
                               f"is tangent at {a_i}")
             # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
@@ -183,13 +182,6 @@ class InscribedConfig(Frozen):
         return tuple(_pair_point(pair, self.radius) for pair in self.param_pairs)
 
     @property
-    def line_points(self) -> tuple[Point, ...]:
-        return tuple(spec if isinstance(spec, Point)
-                     else _pair_point((spec.numerator, spec.denominator),
-                                      self.radius)
-                     for spec in self.line_specs)
-
-    @property
     def m_primes(self) -> tuple[Point, ...]:
         return tuple(_pair_point(pair, self.radius) for pair in self.m_prime_pairs)
 
@@ -201,15 +193,6 @@ class InscribedConfig(Frozen):
         if isinstance(first, Point) and all(spec == first for spec in rest):
             return first
         return None
-
-    def vertex(self, i: int) -> Point:
-        """1-based cyclic vertex access; any integer index wraps mod n."""
-        return _pair_point(self.param_pairs[(i - 1) % self.n], self.radius)
-
-
-def vertex_lines(cfg: InscribedConfig) -> tuple[Line, ...]:
-    """The lines d_1 .. d_n."""
-    return tuple(map(line_through, cfg.vertices, cfg.line_points))
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
@@ -267,11 +250,13 @@ def similar_triangles_relation(cfg: InscribedConfig, i: int) -> bool:
     for every valid configuration.
     """
     n = cfg.n
-    j = idx_shift(i, cfg.s, n)  # validates i in 1..n
-    pairs = cfg.param_pairs
-    a_j = pairs[j - 1]
-    a_jn = pairs[j % n]
+    if not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range 1..{n}")
+    # The first of vertex i's factors, on side j = i + s.
     ratio = cfg.factors[(i - 1) * cfg.t]
+    pairs = cfg.param_pairs
+    a_j = pairs[ratio.j - 1]
+    a_jn = pairs[ratio.j % n]
     m_num, m_den = _chord_ratio(cfg.m_prime_pairs[i - 1], a_j, a_jn)
     a_num, a_den = _chord_ratio(pairs[i - 1], a_j, a_jn)
     return (ratio.num ** 2 * m_den * a_den
@@ -290,7 +275,7 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
 class InscribedReport(Frozen):
     """Both sides of the squared identity for ``config`` plus the raw
     signed product ``lhs``, and ``expected``, the value that pins lhs, or
-    None if none.  ``factors`` and ``m_prime_points`` are the config's."""
+    None if none.  ``factors`` are the config's."""
 
     _fields = ("config", "lhs", "lhs_squared", "rhs_squared", "holds",
                "expected")
@@ -304,10 +289,6 @@ class InscribedReport(Frozen):
     @property
     def factors(self) -> tuple[Factor, ...]:
         return self.config.factors
-
-    @property
-    def m_prime_points(self) -> tuple[Point, ...]:
-        return self.config.m_primes
 
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:

@@ -209,8 +209,8 @@ def _cmd_svg(args) -> int:
         elif isinstance(parsed, InscribedConfig):
             doc = _lazy("render_inscribed_svg")(parsed)
         else:
-            doc = _lazy("render_counterexample_svg")(parsed.vertices,
-                                                     parsed.pivot)
+            doc = _lazy("render_counterexample_svg")(
+                build_converse_counterexample(parsed.vertices, parsed.pivot))
     except OverflowError as exc:
         # Figures are laid out in floats; the exact checks have no such limit.
         raise ConfigError(f"coordinates out of float range to draw: {exc}") from exc

@@ -296,13 +296,19 @@ def inscribed_run_report(report: InscribedReport) -> dict:
         "diagnostics": {
             "lhs_squared": format_rational(report.lhs_squared),
             "rhs_squared": format_rational(report.rhs_squared),
-            "second_circle_points": [point_to_json(p)
-                                     for p in report.m_prime_points],
+            "second_circle_points": [point_to_json(p) for p in cfg.m_primes],
         },
     }
 
 
 def counterexample_run_report(result: Counterexample, seed: int) -> dict:
+    """The run report of a counterexample.
+
+    Ratio k, on side k, is written as {"i": k, "j": k}: both labels name
+    the side.  `opposite_vertex_product`, for the same pentagon split
+    (s = 2, t = 1), labels the ratio on side k with the cevian's vertex,
+    i = (k + 2) % 5 + 1.
+    """
     return {
         "kind": "counterexample",
         "n": 5,

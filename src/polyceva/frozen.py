@@ -8,14 +8,14 @@ them as they are.  A subclass that checks or converts its arguments
 writes its own ``__init__``, which calls ``Frozen.__init__`` once with
 the checked values; results it stores beyond its fields (computed once,
 at construction) it then sets in ``self.__dict__`` itself.  Only
-``Point`` and ``Factor``, built once per coordinate pair and once per
-side ratio, set their attributes in ``self.__dict__`` by hand: that
-takes half the time of the inherited constructor.  ``Factor`` stores
-its value as the integer pair ``num``/``den`` and reads its ``value``
-field through a property, which builds the Fraction.  ``repr``, ``==``
-and ``hash`` use exactly the fields, so stored results are left out of
-all three.  After construction, assigning or deleting any attribute
-raises AttributeError.
+``Point`` and ``Factor`` set their attributes in ``self.__dict__`` by
+hand.  ``Point``, built once per coordinate pair, takes half the time
+of the inherited constructor that way.  ``Factor`` stores its value as
+the integer pair ``num``/``den`` and reads its ``value`` field through
+a property, which builds the Fraction.  ``repr``, ``==`` and ``hash``
+use exactly the fields, so stored results are left out of all three.
+After construction, assigning or deleting any attribute raises
+AttributeError.
 
 ``repr`` spells every int and Fraction through `to_decimal`, so a value
 prints under any int-string limit: error messages embed values whose
@@ -27,11 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-# Python limits int -> str conversion to sys.get_int_max_str_digits()
+# Python limits int <-> str conversion to sys.get_int_max_str_digits()
 # digits (4300 by default, settable down to 640), so longer numbers go
-# through in pieces.  _CHUNK_BITS is the largest bit length whose values
-# all have at most 600 digits.
-_CHUNK_BITS = 1993
+# through in pieces of at most _CHUNK_DIGITS digits.  _CHUNK_BITS is the
+# largest bit length whose values all have that many digits at most.
+_CHUNK_DIGITS = 600
+_CHUNK_BITS = (10 ** _CHUNK_DIGITS).bit_length() - 1
 
 
 def to_decimal(n: int) -> str:
@@ -44,6 +45,15 @@ def to_decimal(n: int) -> str:
     low = n.bit_length() * 30103 // 200000
     high, rest = divmod(n, 10 ** low)
     return to_decimal(high) + to_decimal(rest).zfill(low)
+
+
+def from_decimal(digits: str) -> int:
+    """int(digits) for a string of ASCII digits of any length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return (from_decimal(digits[:-low]) * 10 ** low
+            + from_decimal(digits[-low:]))
 
 
 def rational_text(num: int, den: int) -> str:

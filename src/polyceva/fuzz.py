@@ -42,25 +42,26 @@ from .geometry import MAX_DIGITS, Point, format_rational
 # digits, so `verify` can parse every config a failure reports.
 MAX_BOUND = 10 ** MAX_DIGITS - 1
 
+# Most draws a trial rejects before it is skipped.
+MAX_REJECTIONS = 2000
+
 
 class GenParams(Frozen):
     """Knobs for the random generators.
 
     coordinate_bound limits both numerators and denominators of every
-    drawn rational, and is at most MAX_BOUND; max_rejections caps the
-    resampling loop per trial.  n_max is at most ceva.MAX_VERTICES, the
-    largest polygon a config takes.
+    drawn rational, and is at most MAX_BOUND.  n_max is at most
+    ceva.MAX_VERTICES, the largest polygon a config takes.
     """
 
-    _fields = ("seed", "n_min", "n_max", "coordinate_bound", "max_rejections")
+    _fields = ("seed", "n_min", "n_max", "coordinate_bound")
     seed: int
     n_min: int
     n_max: int
     coordinate_bound: int
-    max_rejections: int
 
     def __init__(self, seed: int = 0, n_min: int = 3, n_max: int = 7,
-                 coordinate_bound: int = 10, max_rejections: int = 2000):
+                 coordinate_bound: int = 10):
         if n_min < 3:
             raise ValueError(f"n_min must be at least 3, got {n_min}")
         if n_min > n_max:
@@ -73,10 +74,7 @@ class GenParams(Frozen):
         if coordinate_bound > MAX_BOUND:
             raise ValueError(
                 f"coordinate_bound must have at most {MAX_DIGITS} digits")
-        if max_rejections < 1:
-            raise ValueError("max_rejections must be positive")
-        Frozen.__init__(self, seed, n_min, n_max, coordinate_bound,
-                        max_rejections)
+        Frozen.__init__(self, seed, n_min, n_max, coordinate_bound)
 
 
 class FuzzFailure(Frozen):
@@ -185,24 +183,24 @@ def _build_inscribed(rng: random.Random, params: GenParams,
 
 
 def _draw(build, params: GenParams, trial: int, *args):
-    """(config, rejections): the first of up to max_rejections + 1 draws
+    """(config, rejections): the first of up to MAX_REJECTIONS + 1 draws
     ``build(rng, params, *args)`` from the trial's RNG that does not
     raise, with the number of draws rejected before it, or (None,
-    max_rejections + 1) when every draw is rejected."""
+    MAX_REJECTIONS + 1) when every draw is rejected."""
     rng = _trial_rng(params.seed, trial)
-    for rejections in range(params.max_rejections + 1):
+    for rejections in range(MAX_REJECTIONS + 1):
         try:
             return build(rng, params, *args), rejections
         except (InvariantViolation, DegenerateConfig, Tangent):
             pass
-    return None, params.max_rejections + 1
+    return None, MAX_REJECTIONS + 1
 
 
 def _generate(build, what: str, params: GenParams, trial: int, *args):
     cfg, _ = _draw(build, params, trial, *args)
     if cfg is None:
         raise GenerationExhausted(
-            f"no valid {what} config within {params.max_rejections} rejections")
+            f"no valid {what} config within {MAX_REJECTIONS} rejections")
     return cfg
 
 

@@ -27,7 +27,7 @@ from .errors import (
     InvalidRational,
     ParallelLines,
 )
-from .frozen import Frozen, rational_text
+from .frozen import Frozen, from_decimal, rational_text
 
 RationalLike = Union[Fraction, int, str]
 
@@ -63,12 +63,12 @@ def parse_rational(text: str) -> Fraction:
             and max(len(digits), len(den_digits or "")) > MAX_DIGITS):
         raise InvalidRational(
             f"rational has more than {MAX_DIGITS} digits in a part")
-    num = _from_decimal(digits)
+    num = from_decimal(digits)
     if text[0] == "-":
         num = -num
     if den_digits is None:
         return Fraction(num)
-    den = _from_decimal(den_digits)
+    den = from_decimal(den_digits)
     if den == 0:
         raise InvalidRational(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -77,21 +77,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize to "p/q", or "p" when the denominator is 1."""
     return rational_text(value.numerator, value.denominator)
-
-
-# Python limits str -> int conversion as it limits int -> str (see
-# frozen.to_decimal), so longer digit strings are parsed in pieces of at
-# most _CHUNK digits.
-_CHUNK = 600
-
-
-def _from_decimal(digits: str) -> int:
-    """int(digits) for a string of ASCII digits of any length."""
-    if len(digits) <= _CHUNK:
-        return int(digits)
-    low = len(digits) // 2
-    return (_from_decimal(digits[:-low]) * 10 ** low
-            + _from_decimal(digits[-low:]))
 
 
 class Point(Frozen):

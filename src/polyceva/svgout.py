@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .ceva import CevaConfig, build_converse_counterexample, crossing_point
-from .circle import InscribedConfig, vertex_lines
+from .ceva import CevaConfig, Counterexample, crossing_point
+from .circle import InscribedConfig
 from .geometry import Line, Point, line_through
 
 
@@ -142,15 +142,16 @@ def render_ceva_svg(cfg: CevaConfig) -> str:
 
 
 def render_inscribed_svg(cfg: InscribedConfig) -> str:
-    # An inscribed config builds its Points on each access.
+    # An inscribed config builds its Points on each access.  d_i is the
+    # line through A_i and M'_i.
     vertices = cfg.vertices
-    return _figure(vertices, vertex_lines(cfg),
-                   [*_meets(cfg, vertices), *_dots(cfg.m_primes, "meet", "M&#8242;"),
+    m_primes = cfg.m_primes
+    return _figure(vertices, list(map(line_through, vertices, m_primes)),
+                   [*_meets(cfg, vertices), *_dots(m_primes, "meet", "M&#8242;"),
                     *_dots(vertices, "vertex", "A")], cfg.radius)
 
 
-def render_counterexample_svg(vertices, pivot: Point) -> str:
-    result = build_converse_counterexample(vertices, pivot)
+def render_counterexample_svg(result: Counterexample) -> str:
     return _figure(result.vertices, result.cevians,
                    [*_dots(result.meet_points, "meet", "M"),
                     *_dots(result.vertices, "vertex", "A"),

@@ -159,8 +159,8 @@ def line_value_antisymmetry(cfg: CevaConfig, r: int, q: int) -> bool:
         if v.x == cfg.pivot.x or v.y == cfg.pivot.y:
             raise AxisAligned(
                 f"vertex {v} shares a coordinate with pivot {cfg.pivot}")
-    a_r = cfg.vertex(r)
-    a_q = cfg.vertex(q)
+    a_r = cfg.vertices[r - 1]
+    a_q = cfg.vertices[q - 1]
     d_rq = normalized_line_value(a_r.x, a_r.y, a_q, cfg.pivot)
     d_qr = normalized_line_value(a_q.x, a_q.y, a_r, cfg.pivot)
     if d_qr == 0:

@@ -19,7 +19,6 @@ from polyceva.ceva import (
     classic_ceva_product,
     crossing_point,
     factor_product,
-    idx_shift,
     opposite_vertex_product,
     sides_hit,
     validate_split,
@@ -56,27 +55,6 @@ TRIANGLE = (pt(0, 0), pt(4, 0), pt(0, 4))
 CENTROID = Point(F(4, 3), F(4, 3))
 SQUARE = (pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4))
 PENTAGON = (pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5), pt(-1, 3))
-
-
-class TestIdxShift:
-    def test_triangle_successor(self):
-        assert idx_shift(1, 1, 3) == 2
-
-    def test_wraps(self):
-        assert idx_shift(3, 1, 3) == 1
-
-    def test_full_cycle(self):
-        assert idx_shift(2, -5, 5) == 2
-
-    def test_inverse(self):
-        for n in (3, 5, 8):
-            for i in range(1, n + 1):
-                assert idx_shift(idx_shift(i, 1, n), -1, n) == i
-                assert idx_shift(i, n, n) == i
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            idx_shift(0, 1, 3)
 
 
 class TestSidesHit:
@@ -309,7 +287,8 @@ class TestOppositeVertexProduct:
         for f in report.factors:
             cfg = CevaConfig(PENTAGON, pt(2, 2), 2, 1)
             m = meet(cfg, f.i, f.j)
-            assert directed_ratio(m, cfg.vertex(f.j), cfg.vertex(f.j + 1)) == f.value
+            a_j, a_next = cfg.vertices[f.j - 1], cfg.vertices[f.j % cfg.n]
+            assert directed_ratio(m, a_j, a_next) == f.value
 
     def test_triangle_reduces_to_classic(self):
         report = opposite_vertex_product(TRIANGLE, pt(1, 1))
@@ -493,10 +472,11 @@ class TestPerCevianTelescoping:
             report = ceva_product(cfg)
             for i in range(1, cfg.n + 1):
                 run = math.prod(f.value for f in report.factors if f.i == i)
-                top = cfg.vertex(idx_shift(i, cfg.s, cfg.n))
-                bot = cfg.vertex(idx_shift(i, cfg.s + cfg.t, cfg.n))
-                d_top = normalized_line_value(top.x, top.y, cfg.vertex(i), cfg.pivot)
-                d_bot = normalized_line_value(bot.x, bot.y, cfg.vertex(i), cfg.pivot)
+                a_i = cfg.vertices[i - 1]
+                top = cfg.vertices[(i - 1 + cfg.s) % cfg.n]
+                bot = cfg.vertices[(i - 1 + cfg.s + cfg.t) % cfg.n]
+                d_top = normalized_line_value(top.x, top.y, a_i, cfg.pivot)
+                d_bot = normalized_line_value(bot.x, bot.y, a_i, cfg.pivot)
                 assert run == d_top / d_bot
                 checked += 1
         assert checked > 30

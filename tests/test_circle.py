@@ -13,7 +13,6 @@ from polyceva.errors import (
     Tangent,
 )
 from polyceva.geometry import Point, line_through
-from polyceva.ceva import idx_shift
 from polyceva.circle import (
     InscribedConfig,
     chord_telescoping_squared,
@@ -21,7 +20,6 @@ from polyceva.circle import (
     inscribed_chord_product_squared,
     inscribed_identity_report,
     similar_triangles_relation,
-    vertex_lines,
 )
 from polyceva.fuzz import GenParams, gen_inscribed_config
 
@@ -136,8 +134,7 @@ class TestInscribedConfigValidation:
 
     def test_vertices_in_circular_order(self):
         cfg = pentagon_config()
-        assert len(cfg.vertices) == 5
-        assert cfg.vertex(6) == cfg.vertex(1)
+        assert cfg.vertices == tuple(circle_point(u, F(1)) for u in PENTAGON_US)
 
 
 class TestSideProduct:
@@ -191,16 +188,23 @@ class TestSimilarTrianglesRelation:
         cfg = InscribedConfig(F(1), (F(-5, 2), F(-1, 3), F(0)),
                               (F(5), F(-4), F(-1, 2)), 1, 1)
         vertices = cfg.vertices
-        lines = vertex_lines(cfg)
         side = line_through(vertices[1], vertices[2])
         from polyceva.geometry import intersect_lines
-        crossing = intersect_lines(lines[0], side)
+        crossing = intersect_lines(line_through(vertices[0], cfg.m_primes[0]),
+                                   side)
         assert crossing.x ** 2 + crossing.y ** 2 > 1
         assert all(similar_triangles_relation(cfg, i) for i in range(1, 4))
 
     def test_interior_first_crossing(self):
         cfg = inscribed_triangle_with_common_point()
         assert all(similar_triangles_relation(cfg, i) for i in range(1, 4))
+
+    def test_index_out_of_range(self):
+        cfg = pentagon_config()
+        for i in (0, -1, 6):
+            with pytest.raises(ValueError,
+                               match=fr"^index {i} out of range 1\.\.5$"):
+                similar_triangles_relation(cfg, i)
 
     def test_random_configs(self):
         params = GenParams(seed=59, n_min=3, n_max=7)
@@ -224,8 +228,9 @@ class TestChordTelescoping:
         # As unordered pairs the two multisets coincide, so everything
         # cancels.
         n, s, t = 5, 2, 1
-        numerators = [frozenset({i, idx_shift(i, s, n)}) for i in range(1, n + 1)]
-        denominators = [frozenset({i, idx_shift(i, s + t, n)}) for i in range(1, n + 1)]
+        numerators = [frozenset({i, (i - 1 + s) % n + 1}) for i in range(1, n + 1)]
+        denominators = [frozenset({i, (i - 1 + s + t) % n + 1})
+                        for i in range(1, n + 1)]
         assert sorted(numerators, key=sorted) == sorted(denominators, key=sorted)
         cfg = pentagon_config()
         vertices = cfg.vertices
@@ -350,14 +355,15 @@ class TestIdentityReport:
         report = inscribed_identity_report(pentagon_config())
         assert report.lhs_squared == report.lhs ** 2
         assert report.holds == (report.lhs_squared == report.rhs_squared)
-        assert len(report.m_prime_points) == 5
-        assert report.m_prime_points == pentagon_config().m_primes
+        assert len(report.config.m_primes) == 5
 
     def test_second_points_on_circle(self):
         for p in pentagon_config().m_primes:
             assert p.x ** 2 + p.y ** 2 == 1
 
     def test_vertex_lines_contain_vertices(self):
-        cfg = pentagon_config()
-        for i, line in enumerate(vertex_lines(cfg), start=1):
-            assert line.contains(cfg.vertex(i))
+        # d_i, drawn through A_i and M'_i, is the line specified through
+        # the common point.
+        cfg = inscribed_triangle_with_common_point()
+        for a, m_prime in zip(cfg.vertices, cfg.m_primes):
+            assert line_through(a, m_prime) == line_through(a, cfg.common_point)

@@ -31,7 +31,6 @@ class TestGenParams:
         {"n_min": 2},
         {"n_min": 6, "n_max": 4},
         {"coordinate_bound": 1},
-        {"max_rejections": 0},
         {"n_max": MAX_VERTICES + 1},
         {"coordinate_bound": MAX_BOUND + 1},
     ])
@@ -83,9 +82,9 @@ class TestGenCeva:
             rebuilt = CevaConfig(cfg.vertices, cfg.pivot, cfg.s, cfg.t)
             assert rebuilt == cfg
 
-    def test_exhaustion_raises(self):
-        params = GenParams(seed=1, n_min=7, n_max=7, coordinate_bound=2,
-                           max_rejections=1)
+    def test_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(polyceva.fuzz, "MAX_REJECTIONS", 1)
+        params = GenParams(seed=1, n_min=7, n_max=7, coordinate_bound=2)
         with pytest.raises(GenerationExhausted):
             for trial in range(200):
                 gen_ceva_config(params, trial)
@@ -154,9 +153,9 @@ class TestFuzzCeva:
         assert _comparable(fuzz_ceva(params, 25)) == \
             _comparable(fuzz_ceva(params, 25))
 
-    def test_tight_budget_counts_rejections_without_failures(self):
-        params = GenParams(seed=3, n_min=6, n_max=7, coordinate_bound=2,
-                           max_rejections=1)
+    def test_tight_budget_counts_rejections_without_failures(self, monkeypatch):
+        monkeypatch.setattr(polyceva.fuzz, "MAX_REJECTIONS", 1)
+        params = GenParams(seed=3, n_min=6, n_max=7, coordinate_bound=2)
         report = fuzz_ceva(params, 40)
         assert report.rejections > 0
         assert report.failures == []

@@ -2,7 +2,8 @@
 names, none uses dataclasses, only Frozen defines how a value is
 assigned, deleted, hashed or printed, every Frozen class has at least
 two fields, only svgout.py computes in floats, every export has a caller
-in the library, and every name the perfbench tracer patches exists."""
+in the library, every generator knob has a ``fuzz`` flag, and every name
+the perfbench tracer patches exists."""
 
 import ast
 import importlib
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import polyceva
+from polyceva.cli import build_parser
+from polyceva.fuzz import GenParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polyceva"
@@ -170,6 +173,14 @@ def test_every_export_has_a_caller():
                       for name in names
                       if name not in used and name not in UNCALLED_EXPORTS)
     assert uncalled == []
+
+
+def test_every_gen_param_has_a_fuzz_flag():
+    """Each GenParams field is set by a flag of ``polyceva fuzz``, so no
+    knob stays that only the tests set."""
+    flags = vars(build_parser().parse_args(["fuzz"]))
+    flags["coordinate_bound"] = flags.pop("bound")
+    assert [name for name in GenParams._fields if name not in flags] == []
 
 
 def test_tracer_names_resolve():

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # second_points and inscribed_side_product, folded since,
 # second_intersection, which nothing called, and the fifteen names only
 # the tests used: Point-based reference geometry and the line-form swap
-# identity, now in tests/_exact_oracle.py, and three aliases.
+# identity, now in tests/_exact_oracle.py, and three aliases; and
+# idx_shift and vertex_lines, which restated what a config holds.
 ALL = [
     "CevaConfig", "CoincidentLines", "CoincidesWithDenominatorEnd",
     "ConfigError", "Counterexample", "DegenerateConfig", "DuplicateLines",
@@ -26,11 +27,11 @@ ALL = [
     "chord_telescoping_squared", "circle", "classic_ceva_product",
     "concurrent_secants_check", "configio", "errors", "format_rational",
     "fuzz", "fuzz_ceva", "fuzz_inscribed", "gen_ceva_config",
-    "gen_inscribed_config", "geometry", "homogeneous", "idx_shift",
+    "gen_inscribed_config", "geometry", "homogeneous",
     "inscribed_chord_product_squared", "inscribed_identity_report",
     "intersect_lines", "line_through", "opposite_vertex_product",
     "parse_rational", "point_from_ratio", "side_factors", "sides_hit",
-    "similar_triangles_relation", "vertex_lines",
+    "similar_triangles_relation",
 ]
 
 
@@ -63,7 +64,7 @@ def test_package_import_loads_no_submodule():
 
 def test_all_is_unchanged():
     assert polyceva.__all__ == ALL
-    assert len(ALL) == 57
+    assert len(ALL) == 55
 
 
 def test_every_exported_name_resolves():

@@ -57,7 +57,7 @@ def failing_report() -> FuzzReport:
      "Fraction(0, 1), Fraction(1, 2)), line_specs=(Fraction(3, 1), "
      "Point(x=Fraction(1, 10), y=Fraction(1, 10)), Fraction(-1, 1)), s=1, t=1)"),
     (GenParams(seed=3),
-     "GenParams(seed=3, n_min=3, n_max=7, coordinate_bound=10, max_rejections=2000)"),
+     "GenParams(seed=3, n_min=3, n_max=7, coordinate_bound=10)"),
     (failing_report(),
      "FuzzReport(kind='inscribed', trials_requested=3, trials_completed=2, "
      "rejections=1, failures=[FuzzFailure(trial=1, seed=7, check='squared_identity', "
