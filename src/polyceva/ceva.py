@@ -354,10 +354,8 @@ def build_converse_counterexample(pentagon: Sequence[Point],
     if len(pentagon) != 5:
         raise InvariantViolation("counterexample needs exactly 5 vertices")
     vertices = tuple(pentagon)
+    a1, a2, a3, a4, a5 = vertices
     triples, m = _polygon_triples(vertices, pivot)
-
-    def vtx(i: int) -> Point:
-        return vertices[(i - 1) % 5]
 
     # The three genuine cevians: vertex i cuts side i + 2.
     genuine = [side_factors(triples, i, m, 2, 1)[0] for i in (1, 2, 3)]
@@ -365,26 +363,22 @@ def build_converse_counterexample(pentagon: Sequence[Point],
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot
     # (or the ratio degenerates); then 2/K with the compensating -1/2.
-    chosen = None
     for branch, r1, r2 in (("1/K", 1 / k_value, Fraction(-1)),
                            ("2/K", 2 / k_value, Fraction(-1, 2))):
         if r1 == 1:
             continue
-        m1 = point_from_ratio(vtx(1), vtx(2), r1)
-        if m1 == vtx(4):
+        m1 = point_from_ratio(a1, a2, r1)
+        if m1 == a4:
             continue
-        line_a4_m1 = line_through(vtx(4), m1)
-        if line_a4_m1.contains(pivot):
-            continue
-        chosen = (branch, r1, r2, m1, line_a4_m1)
-        break
-    if chosen is None:
+        line_a4_m1 = line_through(a4, m1)
+        if not line_a4_m1.contains(pivot):
+            break
+    else:
         raise DegenerateConfig(
             DegenerateConfig.HITS_VERTEX, detail="both ratio branches degenerate")
-    branch, r1, r2, m1, line_a4_m1 = chosen
 
-    m2 = point_from_ratio(vtx(2), vtx(3), r2)
-    if m2 == vtx(5):
+    m2 = point_from_ratio(a2, a3, r2)
+    if m2 == a5:
         raise DegenerateConfig(
             DegenerateConfig.HITS_VERTEX,
             detail="compensating point coincides with vertex 5")
@@ -395,11 +389,11 @@ def build_converse_counterexample(pentagon: Sequence[Point],
     assert product == -1
 
     # The first three cevians pass through the pivot by construction.
-    cevians = (line_through(vtx(1), pivot),
-               line_through(vtx(2), pivot),
-               line_through(vtx(3), pivot),
+    cevians = (line_through(a1, pivot),
+               line_through(a2, pivot),
+               line_through(a3, pivot),
                line_a4_m1,
-               line_through(vtx(5), m2))
+               line_through(a5, m2))
     try:
         concurrent = are_concurrent(cevians)
     except DuplicateLines as exc:

@@ -81,11 +81,12 @@ class InscribedConfig(Frozen):
     The check runs in integer circle parameters: a parameter p/q is the
     pair [p : q], the pair [1 : 0] being (-r, 0).  Construction keeps
     the vertex pairs ``param_pairs``, the pairs ``m_prime_pairs`` of the
-    M'_i and the n*t side ratios ``factors``, which repr, == and hash
-    leave out: vertex i's t ratios, in sides_hit order, are
-    factors[(i-1)*t : i*t].  ``vertices`` and ``m_primes`` are Points
-    built from those on each access; d_i is the line through A_i and
-    M'_i, which differ once construction has passed.
+    M'_i, the n*t side ratios ``factors`` and ``common_point``, which
+    repr, == and hash leave out: vertex i's t ratios, in sides_hit
+    order, are factors[(i-1)*t : i*t], and ``common_point`` is the one
+    Point every d_i is specified through, or None.  ``vertices`` and
+    ``m_primes`` are Points built from those on each access; d_i is the
+    line through A_i and M'_i, which differ once construction has passed.
     """
 
     _fields = ("radius", "params", "line_specs", "s", "t")
@@ -97,6 +98,7 @@ class InscribedConfig(Frozen):
     param_pairs: tuple[Pair, ...]
     m_prime_pairs: tuple[Pair, ...]
     factors: tuple[Factor, ...]
+    common_point: Point | None
 
     def __init__(self, radius: RationalLike, params: Sequence[RationalLike],
                  line_specs: Sequence[Point | RationalLike], s: int, t: int):
@@ -172,6 +174,10 @@ class InscribedConfig(Frozen):
             factors += side_factors(vertices, i + 1, point, s, t)
         d["factors"] = tuple(factors)
         d["m_prime_pairs"] = tuple(pair for _, pair in lines)
+        # Each spec is compared with the first, so no Point is hashed.
+        first = line_specs[0]
+        d["common_point"] = (first if isinstance(first, Point) and all(
+            spec == first for spec in line_specs[1:]) else None)
 
     @property
     def n(self) -> int:
@@ -184,15 +190,6 @@ class InscribedConfig(Frozen):
     @property
     def m_primes(self) -> tuple[Point, ...]:
         return tuple(_pair_point(pair, self.radius) for pair in self.m_prime_pairs)
-
-    @property
-    def common_point(self) -> Point | None:
-        """The one point every d_i is specified through, or None.  Each
-        spec is compared with the first, so no Point is hashed."""
-        first, *rest = self.line_specs
-        if isinstance(first, Point) and all(spec == first for spec in rest):
-            return first
-        return None
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:

@@ -52,12 +52,14 @@ class CounterexampleInput(Frozen):
 # factors costs (B + 120)^2 units to build, B being the bit length of its
 # largest operand: its exact products cost about B^2, and its fixed
 # overhead about as much as 120 more bits.  Multiplying the factors out
-# costs n * P^2 / 10 units more per factor, P being the operand bits one
-# vertex adds to the product (B for a ceva config): the running product
-# grows to about n * P bits, and each factor is multiplied into it.
-# MAX_VERTICES and MAX_DIGITS alone admit inputs that run for minutes; at
-# this limit a config verifies in at most about 1.5 s (2-core x86-64 VM,
-# Python 3.11.7).
+# is priced at n * P^2 / 10 units more per factor, P being the operand
+# bits one vertex adds to the product (B for a ceva config).  That is a
+# price, not the algorithm (`factor_product` cross-cancels each vertex's
+# run and multiplies the runs' pairs in a balanced tree), and it
+# overprices ceva configs with a large t, whose runs telescope (a FOUND
+# in CHANGES.md).  MAX_VERTICES and MAX_DIGITS alone admit inputs that
+# run for minutes; at this limit a config verifies in at most about 1.5 s
+# (2-core x86-64 VM, Python 3.11.7).
 MAX_WORK = 1_200_000_000
 
 # Longest document parse_config decodes, in bytes (in characters for a
@@ -100,18 +102,23 @@ def _point(value, where: str) -> Point:
                  _rational(value[1], f"{where}[1]"))
 
 
-def _int(doc: dict, key: str) -> int:
+def _field(doc: dict, key: str):
     if key not in doc:
         raise InvariantViolation(f"missing field {key!r}")
-    value = doc[key]
+    return doc[key]
+
+
+def _int(doc: dict, key: str) -> int:
+    value = _field(doc, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvariantViolation(f"{key}: expected an integer, got {value!r}")
     return value
 
 
-def _entries(value, key: str, what: str) -> list:
+def _entries(doc: dict, key: str, what: str) -> list:
     """The list field ``key``, at most MAX_VERTICES long: the limit holds
     before any entry is parsed, so a long document is cheap to reject."""
+    value = _field(doc, key)
     if not isinstance(value, list):
         raise InvariantViolation(f"{key}: expected a list of {what}")
     if len(value) > MAX_VERTICES:
@@ -121,10 +128,8 @@ def _entries(value, key: str, what: str) -> list:
 
 
 def _points(doc: dict, key: str) -> tuple[Point, ...]:
-    if key not in doc:
-        raise InvariantViolation(f"missing field {key!r}")
     return tuple(_point(p, f"{key}[{i}]")
-                 for i, p in enumerate(_entries(doc[key], key, "points")))
+                 for i, p in enumerate(_entries(doc, key, "points")))
 
 
 def _bits(*values: Fraction) -> int:
@@ -178,19 +183,17 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
                                  f"{', '.join(map(repr, sorted(unknown)))}")
     if kind == "ceva":
         vertices = _points(doc, "vertices")
-        pivot = _point(doc.get("M"), "M")
+        pivot = _point(_field(doc, "M"), "M")
         s, t = _int(doc, "s"), _int(doc, "t")
         bits = _bits(*(c for p in (*vertices, pivot) for c in (p.x, p.y)))
         _check_work(len(vertices), t, bits, bits)
         return CevaConfig(vertices, pivot, s, t)
     if kind == "inscribed":
-        if "radius" not in doc:
-            raise InvariantViolation("missing field 'radius'")
-        radius = _rational(doc["radius"], "radius")
+        radius = _rational(_field(doc, "radius"), "radius")
         params = tuple(_rational(u, f"params[{i}]") for i, u in enumerate(
-            _entries(doc.get("params"), "params", "rationals")))
+            _entries(doc, "params", "rationals")))
         specs = tuple(_line_spec(item, f"lines[{i}]") for i, item in enumerate(
-            _entries(doc.get("lines"), "lines", "line specs")))
+            _entries(doc, "lines", "line specs")))
         s, t = _int(doc, "s"), _int(doc, "t")
         # A circle point of parameter p/q on radius a/b has parts
         # a(q^2 - p^2), 2apq and b(q^2 + p^2).  A through-point's own
@@ -207,7 +210,7 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
     if len(vertices) != 5:
         raise InvariantViolation(
             f"vertices: counterexample needs exactly 5, got {len(vertices)}")
-    return CounterexampleInput(vertices, _point(doc.get("M"), "M"),
+    return CounterexampleInput(vertices, _point(_field(doc, "M"), "M"),
                                _int(doc, "seed"))
 
 

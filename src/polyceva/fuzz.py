@@ -223,7 +223,8 @@ def _ceva_checks(cfg: CevaConfig):
                format_rational(result.product))
 
 
-def _inscribed_checks(cfg: InscribedConfig, concurrent: bool):
+def _inscribed_checks(cfg: InscribedConfig):
+    concurrent = cfg.common_point is not None
     if concurrent:
         result = concurrent_secants_check(cfg)
     else:
@@ -246,8 +247,8 @@ def _inscribed_checks(cfg: InscribedConfig, concurrent: bool):
 
 def _fuzz(kind: str, params: GenParams, trials: int, build, checks,
           *args) -> FuzzReport:
-    """Draw each trial's config with ``build`` and record every
-    (check, expected, actual) that ``checks(cfg, *args)`` yields."""
+    """Draw each trial's config with ``build(rng, params, *args)`` and
+    record every (check, expected, actual) that ``checks(cfg)`` yields."""
     start = time.perf_counter()
     completed = rejections = 0
     failures: list[FuzzFailure] = []
@@ -257,7 +258,7 @@ def _fuzz(kind: str, params: GenParams, trials: int, build, checks,
         if cfg is None:
             continue
         completed += 1
-        found = list(checks(cfg, *args))
+        found = list(checks(cfg))
         if found:
             doc = config_to_dict(cfg)
             failures += [FuzzFailure(trial, params.seed, *failure, doc)

@@ -125,6 +125,14 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_missing_field(self, capsys, tmp_path):
+        doc = json.loads(TRIANGLE.read_text())
+        del doc["M"]
+        path = tmp_path / "no_pivot.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", "error: missing field 'M'\n")
+
     def test_invalid_rational(self, capsys, tmp_path):
         doc = json.loads(TRIANGLE.read_text())
         doc["M"] = ["1/0", "1"]

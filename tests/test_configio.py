@@ -222,6 +222,18 @@ class TestParseCounterexample:
             parse_config(dumps(doc))
 
 
+@pytest.mark.parametrize("doc, key", [
+    pytest.param(doc, key, id=f"{doc['kind']}-{key}")
+    for doc in (TRIANGLE_DOC, INSCRIBED_DOC, COUNTEREXAMPLE_DOC)
+    for key in sorted(polyceva.configio._FIELDS[doc["kind"]] - {"kind"})])
+def test_missing_field_is_named(doc, key):
+    doc = dict(doc)
+    del doc[key]
+    with pytest.raises(InvariantViolation) as err:
+        parse_config(dumps(doc))
+    assert str(err.value) == f"missing field {key!r}"
+
+
 class TestRoundTrip:
     def test_ceva(self):
         cfg = parse_config(dumps(TRIANGLE_DOC))

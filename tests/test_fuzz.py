@@ -178,6 +178,25 @@ class TestFuzzInscribed:
         assert _comparable(fuzz_inscribed(params, 10)) == \
             _comparable(fuzz_inscribed(params, 10))
 
+    @pytest.mark.parametrize("concurrent, called", [
+        (True, "concurrent_secants_check"),
+        (False, "inscribed_identity_report"),
+    ])
+    def test_config_selects_the_check(self, monkeypatch, concurrent, called):
+        """Each trial's config, not the batch's flag, picks the engine
+        check: a drawn common point selects the concurrent one."""
+        calls = dict.fromkeys(("concurrent_secants_check",
+                               "inscribed_identity_report"), 0)
+        for name in calls:
+            def counted(cfg, name=name, check=getattr(polyceva.fuzz, name)):
+                calls[name] += 1
+                return check(cfg)
+            monkeypatch.setattr(polyceva.fuzz, name, counted)
+        report = fuzz_inscribed(GenParams(seed=7, n_max=6), 5,
+                                concurrent=concurrent)
+        assert report.failures == []
+        assert calls == {name: 5 * (name == called) for name in calls}
+
 
 # One small trial of each kind, with the engines falsified through names
 # every call path reaches, pins what a failure records: the check names,

@@ -150,7 +150,8 @@ def test_inherited_constructor_takes_one_value_per_field(values):
 
 @pytest.mark.parametrize("build, stored", [
     (triangle_config, ("factors",)),
-    (inscribed_config, ("param_pairs", "m_prime_pairs", "factors")),
+    (inscribed_config, ("param_pairs", "m_prime_pairs", "factors",
+                        "common_point")),
 ])
 def test_stored_results_are_left_out(build, stored):
     """Configs that differ only in what construction stored are equal,
