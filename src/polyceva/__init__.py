@@ -13,11 +13,9 @@ import importlib
 
 _EXPORTS = {
     "errors": (
-        "CoincidentLines", "CoincidesWithDenominatorEnd", "ConfigError",
-        "DegenerateConfig", "DuplicateLines", "GenerationExhausted",
-        "GeometryError", "IdenticalPoints", "InvalidRational",
-        "InvariantViolation", "MalformedJson", "NotConcurrent",
-        "ParallelLines", "Tangent",
+        "ConfigError", "DegenerateConfig", "GenerationExhausted",
+        "GeometryError", "InvalidRational", "InvariantViolation",
+        "MalformedJson", "Tangent",
     ),
     "geometry": (
         "Line", "Point", "are_concurrent", "as_rational", "format_rational",

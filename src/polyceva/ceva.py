@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateConfig, DuplicateLines, InvariantViolation
+from .errors import DegenerateConfig, InvariantViolation
 from .frozen import Frozen
 from .geometry import (
     Homogeneous,
@@ -396,7 +396,8 @@ def build_converse_counterexample(pentagon: Sequence[Point],
                line_through(a5, m2))
     try:
         concurrent = are_concurrent(cevians)
-    except DuplicateLines as exc:
+    except ValueError as exc:
+        # Of five lines, only a duplicate makes are_concurrent raise.
         raise DegenerateConfig(DegenerateConfig.PARALLEL,
                                detail="two cevians coincide") from exc
     return Counterexample(vertices, pivot, cevians, meet_points, ratios,

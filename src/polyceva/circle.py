@@ -25,12 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import (
-    DegenerateConfig,
-    InvariantViolation,
-    NotConcurrent,
-    Tangent,
-)
+from .errors import DegenerateConfig, InvariantViolation, Tangent
 from .frozen import Frozen
 from .geometry import (
     Homogeneous,
@@ -301,7 +296,7 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
     exactly 1; ``holds`` demands both on top of the squared identity.
     """
     if cfg.common_point is None:
-        raise NotConcurrent("vertex lines do not share one common point")
+        raise ValueError("vertex lines do not share one common point")
     return _identity_report(cfg, Fraction(-1) ** cfg.n)
 
 

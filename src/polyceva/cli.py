@@ -6,7 +6,8 @@ Subcommands: verify, counterexample, fuzz, svg.  Exit codes:
     1  the identity was computed and fails (kernel bug sentinel)
     2  input error (bad JSON, bad rational, structural invariant, flags)
     3  degenerate configuration (parallel/tangent/vertex collision)
-    4  internal error (an unexpected exception; a one-line message)
+    4  internal error (an unexpected exception, such as a helper's
+       ValueError from a call outside its domain; a one-line message)
 
 Machine-readable JSON is the default output; --pretty renders an
 aligned factor table instead.
@@ -36,7 +37,7 @@ from .configio import (
     inscribed_run_report,
     parse_config,
 )
-from .errors import ConfigError, DegenerateConfig, GeometryError, Tangent
+from .errors import ConfigError, GeometryError
 
 # Names of the modules only some subcommands use, imported on first use
 # (``verify`` needs neither).  Commands look them up on this module, so
@@ -230,11 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateConfig, Tangent) as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return 3
     except GeometryError as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
+        print(f"degenerate: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
         # A bug, not a verdict: exit 1 would read as a falsified identity.

@@ -173,7 +173,7 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvariantViolation("top level must be a JSON object")
-    kind = doc.get("kind")
+    kind = _field(doc, "kind")
     if not isinstance(kind, str) or kind not in _FIELDS:
         raise InvariantViolation(
             f"kind: expected 'ceva', 'inscribed' or 'counterexample', got {kind!r}")

@@ -1,46 +1,26 @@
 """Exception hierarchy for the kernel, the engines, and the config front end.
 
-Two families: `GeometryError` covers everything the exact kernel and the
-theorem engines can raise while computing; `ConfigError` covers malformed
-input handed to the CLI.  The split matters because the CLI maps them to
-different exit codes (degenerate geometry is 3, bad input is 2).
+One family per CLI exit code:
+
+- `ConfigError` and its subclasses: the input is malformed (exit 2).
+- `GeometryError` and its subclasses: the input is degenerate (exit 3).
+  These are `DegenerateConfig` and `Tangent`, plus `GenerationExhausted`,
+  which only the generators raise, when every draw was degenerate.
+- `ValueError` or `TypeError`: a helper was called outside its domain
+  (two equal points for a line, parallel lines to intersect, a duplicate
+  line in a concurrency test).  No command does that, and the CLI
+  reports one as an internal error (exit 4).
 """
 
 from __future__ import annotations
 
 
 class GeometryError(Exception):
-    """Base class for kernel and engine errors."""
-
-
-class IdenticalPoints(GeometryError):
-    """Two points expected to be distinct coincide."""
-
-
-class ParallelLines(GeometryError):
-    """Distinct parallel lines have no intersection point."""
-
-
-class CoincidentLines(GeometryError):
-    """The two lines are the same line (infinitely many intersections)."""
-
-
-class CoincidesWithDenominatorEnd(GeometryError):
-    """A point X on line AB at a directed ratio XA / XB has X = B: the
-    denominator segment is zero."""
-
-
-class DuplicateLines(GeometryError):
-    """A concurrency test was given the same line twice."""
+    """Base class for degenerate-input errors (CLI exit code 3)."""
 
 
 class Tangent(GeometryError):
     """The line touches the circle only at the known point."""
-
-
-class NotConcurrent(GeometryError):
-    """An operation requiring a common point for all vertex lines was
-    given specs that do not share one."""
 
 
 class DegenerateConfig(GeometryError):

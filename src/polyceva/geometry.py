@@ -19,14 +19,7 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import (
-    CoincidentLines,
-    CoincidesWithDenominatorEnd,
-    DuplicateLines,
-    IdenticalPoints,
-    InvalidRational,
-    ParallelLines,
-)
+from .errors import InvalidRational
 from .frozen import Frozen, from_decimal, rational_text
 
 RationalLike = Union[Fraction, int, str]
@@ -131,7 +124,7 @@ class Line(Frozen):
 def line_through(p: Point, q: Point) -> Line:
     """The unique line containing two distinct points."""
     if p == q:
-        raise IdenticalPoints(f"no unique line through coincident points {p}")
+        raise ValueError(f"no unique line through coincident points {p}")
     return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
 
@@ -140,8 +133,8 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         if l1 == l2:
-            raise CoincidentLines(f"lines coincide: {l1}")
-        raise ParallelLines(f"parallel lines {l1} and {l2}")
+            raise ValueError(f"lines coincide: {l1}")
+        raise ValueError(f"parallel lines {l1} and {l2}")
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
     return Point(x, y)
@@ -174,7 +167,7 @@ def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
     if r == 1:
         raise ValueError("no finite point realizes directed ratio 1")
     if a == b:
-        raise CoincidesWithDenominatorEnd(
+        raise ValueError(
             f"ratio point {a} coincides with the denominator end")
     p, q = r.numerator, r.denominator
     coords = []
@@ -199,7 +192,7 @@ def are_concurrent(lines: Sequence[Line]) -> bool:
     if len(lines) < 2:
         raise ValueError("concurrency needs at least two lines")
     if len(set(lines)) != len(lines):
-        raise DuplicateLines("duplicate line in concurrency test")
+        raise ValueError("duplicate line in concurrency test")
     first = lines[0]
     partner = next((l for l in lines[1:] if not first.is_parallel_to(l)), None)
     if partner is None:

@@ -26,14 +26,7 @@ import math
 from fractions import Fraction
 
 from polyceva.ceva import CevaConfig, Factor
-from polyceva.errors import (
-    CoincidentLines,
-    CoincidesWithDenominatorEnd,
-    DegenerateConfig,
-    GeometryError,
-    ParallelLines,
-    Tangent,
-)
+from polyceva.errors import DegenerateConfig, GeometryError, Tangent
 from polyceva.frozen import Frozen
 from polyceva.geometry import (
     Point,
@@ -113,7 +106,7 @@ def directed_ratio(x: Point, a: Point, b: Point) -> Fraction:
     free self-check.
     """
     if x == b:
-        raise CoincidesWithDenominatorEnd(
+        raise ValueError(
             f"ratio point {x} coincides with the denominator end")
     if not is_collinear(x, a, b):
         raise NotCollinear(f"{x}, {a}, {b} are not collinear")
@@ -181,9 +174,10 @@ def crossing(vertices, a_i, p, i, j) -> tuple[Factor, Point]:
     its ratio and the point itself."""
     a_j = vertices[j - 1]
     a_jn = vertices[j % len(vertices)]
+    lines = line_through(a_i, p), line_through(a_j, a_jn)
     try:
-        m = intersect_lines(line_through(a_i, p), line_through(a_j, a_jn))
-    except (ParallelLines, CoincidentLines) as exc:
+        m = intersect_lines(*lines)
+    except ValueError as exc:
         raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j) from exc
     if m == a_j or m == a_jn:
         raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j)

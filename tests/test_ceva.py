@@ -71,6 +71,11 @@ class TestSidesHit:
         with pytest.raises(ValueError):
             sides_hit(1, 2, 2, 5)
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"^index {i} out of range 1..3$"):
+            sides_hit(i, 1, 1, 3)
+
     def test_every_side_hit_t_times(self):
         n, s, t = 9, 2, 5
         hits = [j for i in range(1, n + 1) for j in sides_hit(i, s, t, n)]
@@ -347,6 +352,11 @@ class TestConfigValidation:
     def test_split_checked(self):
         with pytest.raises(InvariantViolation):
             CevaConfig(TRIANGLE, pt(1, 1), 2, 1)
+
+    def test_split_parts_positive(self):
+        with pytest.raises(InvariantViolation,
+                           match="^s and t must be positive, got s=0, t=3$"):
+            CevaConfig(TRIANGLE, CENTROID, 0, 3)
 
     def test_duplicate_vertices(self):
         with pytest.raises(InvariantViolation,

@@ -6,12 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from polyceva.errors import (
-    DegenerateConfig,
-    InvariantViolation,
-    NotConcurrent,
-    Tangent,
-)
+from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
 from polyceva.geometry import Point, line_through
 from polyceva.circle import (
     InscribedConfig,
@@ -87,6 +82,11 @@ class TestInscribedConfigValidation:
         with pytest.raises(InvariantViolation):
             InscribedConfig(F(1), PENTAGON_US,
                             PENTAGON_VS, 1, 1)
+
+    def test_unknown_spec(self):
+        with pytest.raises(InvariantViolation,
+                           match="^line 1: unknown spec None$"):
+            InscribedConfig(1, [0, 1, 2], [None, 3, 4], 1, 1)
 
     def test_spec_count(self):
         with pytest.raises(InvariantViolation):
@@ -279,7 +279,7 @@ class TestConcurrentSecants:
 
     def test_not_concurrent_specs(self):
         cfg = pentagon_config()
-        with pytest.raises(NotConcurrent):
+        with pytest.raises(ValueError, match="do not share one common point"):
             concurrent_secants_check(cfg)
 
     def test_distinct_points_rejected(self):
@@ -287,7 +287,7 @@ class TestConcurrentSecants:
         specs = (Point(F(1, 10), F(1, 10)),) * 3 \
             + (Point(F(1, 7), F(1, 5)),)
         cfg = InscribedConfig(F(1), us, specs, 1, 2)
-        with pytest.raises(NotConcurrent):
+        with pytest.raises(ValueError, match="do not share one common point"):
             concurrent_secants_check(cfg)
 
     def test_random_common_points(self):

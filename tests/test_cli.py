@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import polyceva.cli as cli
 from polyceva.ceva import Factor, ProductReport
-from polyceva.errors import IdenticalPoints
+from polyceva import errors
+from polyceva.geometry import line_through
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -242,16 +243,35 @@ class TestVerify:
         assert out == ""
         assert err == "internal error: RuntimeError('kernel fault\\nsecond line')\n"
 
-    def test_other_geometry_error_exits_three(self, capsys, monkeypatch):
-        """A GeometryError that is not a degeneracy still exits 3, with one
-        line on stderr."""
+    def test_helper_value_error_exits_four(self, capsys, monkeypatch):
+        """A helper called outside its domain raises ValueError; no
+        command does that, so it is a bug: exit 4, one line on stderr."""
         def broken(cfg):
-            raise IdenticalPoints("pivot and vertex coincide")
+            return line_through(cfg.pivot, cfg.pivot)
         monkeypatch.setattr(cli, "ceva_product", broken)
         code, out, err = run_cli(capsys, "verify", str(TRIANGLE))
-        assert code == 3
-        assert out == ""
-        assert err == "geometry error: pivot and vertex coincide\n"
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ValueError('no unique line ")
+        assert err.count("\n") == 1 and err.endswith("')\n")
+
+    @pytest.mark.parametrize("cls", [
+        pytest.param(cls, id=name) for name, cls in vars(errors).items()
+        if isinstance(cls, type) and cls.__module__ == errors.__name__])
+    def test_each_error_class_exit_code(self, capsys, monkeypatch, cls):
+        """Each class in polyceva.errors is in one family, which fixes
+        its exit code and stderr prefix."""
+        malformed = issubclass(cls, errors.ConfigError)
+        assert malformed != issubclass(cls, errors.GeometryError)
+        exc = cls("boom")
+
+        def broken(cfg):
+            raise exc
+        monkeypatch.setattr(cli, "ceva_product", broken)
+        code, out, err = run_cli(capsys, "verify", str(TRIANGLE))
+        if malformed:
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+        else:
+            assert (code, out, err) == (3, "", f"degenerate: {exc}\n")
 
 
 def _thousand_digit_triangle(tmp_path) -> Path:
@@ -386,6 +406,11 @@ class TestFuzzCommand:
         assert code == 2
         assert out == ""
         assert "at most 256" in err
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --trials must be nonnegative\n"
 
     @pytest.mark.parametrize("bound, exit_code", [
         (10 ** 1000 - 1, 0), (10 ** 1000, 2)])

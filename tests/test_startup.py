@@ -13,17 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # second_points and inscribed_side_product, folded since,
 # second_intersection, which nothing called, and the fifteen names only
 # the tests used: Point-based reference geometry and the line-form swap
-# identity, now in tests/_exact_oracle.py, and three aliases; and
-# idx_shift and vertex_lines, which restated what a config holds.
+# identity, now in tests/_exact_oracle.py, and three aliases;
+# idx_shift and vertex_lines, which restated what a config holds; and
+# the six error classes of a helper called outside its domain, which
+# now raises ValueError.
 ALL = [
-    "CevaConfig", "CoincidentLines", "CoincidesWithDenominatorEnd",
-    "ConfigError", "Counterexample", "DegenerateConfig", "DuplicateLines",
+    "CevaConfig", "ConfigError", "Counterexample", "DegenerateConfig",
     "Factor", "FuzzFailure", "FuzzReport", "GenParams", "GenerationExhausted",
-    "GeometryError", "IdenticalPoints", "InscribedConfig", "InscribedReport",
-    "InvalidRational", "InvariantViolation", "Line", "MalformedJson",
-    "NotConcurrent", "ParallelLines", "Point", "ProductReport", "Tangent",
-    "all_sides_product", "are_concurrent",
-    "as_rational", "build_converse_counterexample", "ceva", "ceva_product",
+    "GeometryError", "InscribedConfig", "InscribedReport", "InvalidRational",
+    "InvariantViolation", "Line", "MalformedJson", "Point", "ProductReport",
+    "Tangent", "all_sides_product", "are_concurrent", "as_rational",
+    "build_converse_counterexample", "ceva", "ceva_product",
     "chord_telescoping_squared", "circle", "classic_ceva_product",
     "concurrent_secants_check", "configio", "errors", "format_rational",
     "fuzz", "fuzz_ceva", "fuzz_inscribed", "gen_ceva_config",
@@ -64,7 +64,7 @@ def test_package_import_loads_no_submodule():
 
 def test_all_is_unchanged():
     assert polyceva.__all__ == ALL
-    assert len(ALL) == 55
+    assert len(ALL) == 49
 
 
 def test_every_exported_name_resolves():
