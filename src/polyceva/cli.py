@@ -34,6 +34,7 @@ from .configio import (
     ReportEncoder,
     ceva_run_report,
     counterexample_run_report,
+    factor_entry,
     inscribed_run_report,
     parse_config,
 )
@@ -127,7 +128,7 @@ def _print_pretty(report: dict) -> None:
         head.append(f"K = {report['K']}   branch {report['branch']}   "
                     f"concurrent: {report['concurrent']}")
     print("\n".join(head))
-    factors = report.get("factors", [])
+    factors = [factor_entry(f) for f in report.get("factors", ())]
     if factors:
         width = max(len(f["value"]) for f in factors)
         print(f"  {'i':>3} {'j':>3}  ratio")

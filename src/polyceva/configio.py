@@ -18,8 +18,10 @@ invariant failures raise InvariantViolation while geometric degeneracy
 raises DegenerateConfig, because the CLI maps them to different exit
 codes.
 
-Run reports are plain dicts.  Their text is exactly
-``json.dumps(doc, indent=2)``, written in one pass by `ReportEncoder`.
+Run reports are dicts whose ``"factors"`` hold the kernel's `Factor`s
+themselves, each written as the row `factor_entry` defines.  Their text
+is exactly ``json.dumps(doc, indent=2, default=factor_entry)``, written
+in one pass by `ReportEncoder`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .ceva import MAX_VERTICES, CevaConfig, Counterexample, ProductReport
+from .ceva import MAX_VERTICES, CevaConfig, Counterexample, Factor, ProductReport
 from .circle import InscribedConfig, InscribedReport
 from .errors import InvalidRational, InvariantViolation, MalformedJson
 from .frozen import Frozen, rational_text
@@ -264,10 +266,10 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
     raise TypeError(f"cannot serialize {cfg!r}")
 
 
-def _factor_entries(factors) -> list[dict]:
-    # The text of format_rational(f.value), from the stored pair.
-    return [{"i": f.i, "j": f.j, "value": rational_text(f.num, f.den)}
-            for f in factors]
+def factor_entry(f: Factor) -> dict:
+    """The report row of a factor; its value is the text of
+    format_rational(f.value), from the stored pair."""
+    return {"i": f.i, "j": f.j, "value": rational_text(f.num, f.den)}
 
 
 def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
@@ -276,7 +278,7 @@ def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
         "n": cfg.n,
         "s": cfg.s,
         "t": cfg.t,
-        "factors": _factor_entries(report.factors),
+        "factors": report.factors,
         "product": format_rational(report.product),
         "expected": format_rational(report.expected),
         "holds": report.holds,
@@ -291,7 +293,7 @@ def inscribed_run_report(report: InscribedReport) -> dict:
         "n": cfg.n,
         "s": cfg.s,
         "t": cfg.t,
-        "factors": _factor_entries(report.factors),
+        "factors": report.factors,
         "product": format_rational(report.lhs),
         "expected": (None if report.expected is None
                      else format_rational(report.expected)),
@@ -307,9 +309,10 @@ def inscribed_run_report(report: InscribedReport) -> dict:
 def counterexample_run_report(result: Counterexample, seed: int) -> dict:
     """The run report of a counterexample.
 
-    Ratio k, on side k, is written as {"i": k, "j": k}: both labels name
-    the side.  `opposite_vertex_product`, for the same pentagon split
-    (s = 2, t = 1), labels the ratio on side k with the cevian's vertex,
+    Ratio k, on side k, is held as Factor(k, k, ratio), written as
+    {"i": k, "j": k, ...}: both labels name the side.
+    `opposite_vertex_product`, for the same pentagon split (s = 2,
+    t = 1), labels the ratio on side k with the cevian's vertex,
     i = (k + 2) % 5 + 1.
     """
     return {
@@ -317,8 +320,8 @@ def counterexample_run_report(result: Counterexample, seed: int) -> dict:
         "n": 5,
         "s": 2,
         "t": 1,
-        "factors": [{"i": i, "j": i, "value": format_rational(r)}
-                    for i, r in enumerate(result.ratios, start=1)],
+        "factors": tuple(Factor(k, k, r)
+                         for k, r in enumerate(result.ratios, start=1)),
         "product": format_rational(result.product),
         "expected": "-1",
         "holds": result.holds,
@@ -333,23 +336,31 @@ def counterexample_run_report(result: Counterexample, seed: int) -> dict:
 
 
 class ReportEncoder(json.JSONEncoder):
-    """Writes exactly the text of ``json.dumps(doc, indent=2)``, in one
-    pass.
+    """Writes exactly the text of
+    ``json.dumps(doc, indent=2, default=factor_entry)``, in one pass.
 
     Given an indent, json's own encoder (CPython 3.10-3.13) runs its
     pure-Python generators item by item; this one appends each item's
-    text to one list.  Pass it as
+    text to one list, a `Factor`'s whole row as one piece.  Pass it as
     ``json.dumps(doc, indent=2, cls=ReportEncoder)``: the options are
     not read, the text is always that of ``indent=2``.  It covers dicts
-    with str keys, lists and tuples, str, int, finite float, bool and
-    None.  Any other value raises TypeError, as json does, and a NaN or
-    infinity ValueError, as json does with ``allow_nan=False``.
+    with str keys, lists and tuples, str, int, finite float, bool, None
+    and Factor.  Any other value raises TypeError, as json does, and a
+    NaN or infinity ValueError, as json does with ``allow_nan=False``.
+    `default` hands json's own encoder the same rows, so
+    ``json.dump(doc, fp, indent=2, cls=ReportEncoder)`` writes the same
+    text.
     """
 
     def encode(self, o) -> str:
         parts: list[str] = []
         _write(o, "\n", parts.append)
         return "".join(parts)
+
+    def default(self, o):
+        if isinstance(o, Factor):
+            return factor_entry(o)
+        return super().default(o)
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -374,13 +385,10 @@ def _write(o, nl: str, add) -> None:
             sep = comma
             if isinstance(value, str):
                 add(_escape(value))
-            elif value.__class__ is int:
-                # Factor indices: the most common value that is not a str.
-                add(int.__repr__(value))
             elif isinstance(value, _CONTAINERS):
                 _write(value, inner, add)
             else:
-                add(_scalar(value))
+                add(_leaf(value, inner))
         add(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
@@ -391,19 +399,34 @@ def _write(o, nl: str, add) -> None:
         for value in o:
             add(sep)
             sep = comma
-            if isinstance(value, str):
+            if value.__class__ is Factor:
+                # A report's factor rows, its most common list items.
+                add(_row(value, inner))
+            elif isinstance(value, str):
                 add(_escape(value))
             elif isinstance(value, _CONTAINERS):
                 _write(value, inner, add)
             else:
-                add(_scalar(value))
+                add(_leaf(value, inner))
         add(nl + "]")
     else:
-        add(_escape(o) if isinstance(o, str) else _scalar(o))
+        add(_escape(o) if isinstance(o, str) else _leaf(o, nl))
 
 
-def _scalar(o) -> str:
-    """The JSON text of a value that is neither a str nor a container."""
+def _row(f: Factor, nl: str) -> str:
+    """The text of factor_entry(f), ``nl`` being the newline and indent
+    of the line it starts on.  Its value text has no character to
+    escape."""
+    inner = nl + "  "
+    return (f'{{{inner}"i": {f.i},{inner}"j": {f.j},{inner}"value": '
+            f'"{rational_text(f.num, f.den)}"{nl}}}')
+
+
+def _leaf(o, nl: str) -> str:
+    """The JSON text of a value that is neither a str nor a container,
+    ``nl`` being the newline and indent of the line it starts on."""
+    if o.__class__ is Factor:
+        return _row(o, nl)
     if o is None:
         return "null"
     if o is True:

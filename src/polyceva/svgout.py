@@ -1,17 +1,24 @@
 """Standalone SVG figures for configurations.
 
-The only floating point in the package lives here: exact rational
-coordinates are converted to floats for layout, and nothing is ever
-read back from the figure.  Output is deterministic for a fixed config.
+The only floating point in the package lives here: exact coordinates are
+converted to floats for layout, and nothing is ever read back from the
+figure.  Each float is one int true division, which rounds correctly,
+so it equals ``float()`` of the exact rational it stands for: a vertex
+or pivot coordinate is its numerator over its denominator, a crossing
+M_ij is taken from its factor's integer pair and the homogeneous
+triples of its side's endpoints, and a drawn line from the cross
+product of two triples.  No Fraction, Point or Line is built per
+factor.  Output is deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .ceva import CevaConfig, Counterexample, crossing_point
+from .ceva import CevaConfig, Counterexample, Factor
 from .circle import InscribedConfig
-from .geometry import Line, Point, line_through
+from .geometry import Homogeneous, Point, homogeneous
 
 
 # Side of the square figure and its blank border, in SVG user units.
@@ -59,10 +66,11 @@ class _Layout:
         vy = SIZE - MARGIN - (y - self.y0) * self.scale
         return vx, vy
 
-    def clip_line(self, line: Line) -> tuple[tuple[float, float],
-                                             tuple[float, float]] | None:
-        """Chord of the (infinite) line across the model bounding box."""
-        a, b, c = float(line.a), float(line.b), float(line.c)
+    def clip_line(self, line: tuple[float, float, float]
+                  ) -> tuple[tuple[float, float], tuple[float, float]] | None:
+        """Chord of the (infinite) line a*x + b*y + c = 0 across the
+        model bounding box."""
+        a, b, c = line
         hits = []
         if b != 0:
             for x in (self.x0, self.x1):
@@ -80,65 +88,108 @@ class _Layout:
         return hits[0], hits[-1]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _float(x: Fraction) -> float:
+    return x.numerator / x.denominator
 
 
 def _xy(p: Point) -> tuple[float, float]:
-    return float(p.x), float(p.y)
+    return _float(p.x), _float(p.y)
 
 
-def _figure(vertices, lines, dots, radius=None) -> str:
+def _join(p: Homogeneous, q: Homogeneous) -> tuple[float, float, float]:
+    """float() of each coefficient of `line_through` of two distinct
+    points.  The cross product (a, b, c) of their triples is a multiple
+    of that Line, which is scaled so that the first nonzero one of a, b
+    is 1; the divisor is made positive, so that a zero coefficient is
+    0.0, never -0.0."""
+    x_p, y_p, w_p = p
+    x_q, y_q, w_q = q
+    a = y_p * w_q - w_p * y_q
+    b = w_p * x_q - x_p * w_q
+    c = x_p * y_q - y_p * x_q
+    if a:
+        if a < 0:
+            a, b, c = -a, -b, -c
+        return 1.0, b / a, c / a
+    if b < 0:
+        b, c = -b, -c
+    return 0.0, 1.0, c / b
+
+
+def _meet(a: Homogeneous, b: Homogeneous, f: Factor) -> tuple[float, float]:
+    """float() of each coordinate of the crossing a factor measures, as
+    `crossing_point` gives it, on the side from A to B.
+
+    The point X with (A - X) = r (B - X), r = p/q, is (q A - p B) /
+    (q - p); over the triples' common denominator its coordinates are
+    (q X_A W_B - p X_B W_A) / ((q - p) W_A W_B), the divisor made
+    positive."""
+    x_a, y_a, w_a = a
+    x_b, y_b, w_b = b
+    p, q = f.num, f.den
+    if q < p:
+        p, q = -p, -q
+    u = q * w_b
+    v = p * w_a
+    w = (q - p) * w_a * w_b
+    return (u * x_a - v * x_b) / w, (u * y_a - v * y_b) / w
+
+
+def _figure(corners, lines, dots, radius=None) -> str:
     """One standalone SVG document.
 
     Draws the circle of ``radius`` about the origin when given, each of
-    ``lines`` clipped to the view, the edges of the polygon ``vertices``
-    and then ``dots``, (point, style, label) triples, in the order
-    given.  The dots and the circle's bounding square set the layout.
+    ``lines``, (a, b, c) float triples, clipped to the view, the edges
+    of the polygon with float ``corners`` and then ``dots``, (float
+    point, style, label) triples, in the order given.  The dots and the
+    circle's bounding square set the layout.
     """
-    box = [_xy(p) for p, _, _ in dots]
+    box = [xy for xy, _, _ in dots]
     if radius is not None:
-        r = float(radius)
+        r = _float(radius)
         box += [(-r, -r), (r, r)]
     layout = _Layout(box)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">']
     if radius is not None:
         vx, vy = layout.to_view(0.0, 0.0)
-        parts.append(f'<circle cx="{_fmt(vx)}" cy="{_fmt(vy)}" '
-                     f'r="{_fmt(r * layout.scale)}" {_STYLE["circle"]}/>')
+        parts.append(f'<circle cx="{vx:.2f}" cy="{vy:.2f}" '
+                     f'r="{r * layout.scale:.2f}" {_STYLE["circle"]}/>')
     chords = [layout.clip_line(line) for line in lines]
-    edges = [(_xy(p), _xy(q)) for p, q in zip(vertices, (*vertices[1:], vertices[0]))]
+    edges = list(zip(corners, (*corners[1:], corners[0])))
     for style, segments in (("cevian", chords), ("polygon", edges)):
         for ends in filter(None, segments):
             (vx1, vy1), (vx2, vy2) = (layout.to_view(*end) for end in ends)
-            parts.append(f'<line x1="{_fmt(vx1)}" y1="{_fmt(vy1)}" '
-                         f'x2="{_fmt(vx2)}" y2="{_fmt(vy2)}" {_STYLE[style]}/>')
-    for p, style, label in dots:
-        vx, vy = layout.to_view(*_xy(p))
-        parts.append(f'<circle cx="{_fmt(vx)}" cy="{_fmt(vy)}" r="3" {_STYLE[style]}/>')
-        parts.append(f'<text x="{_fmt(vx + 5)}" y="{_fmt(vy - 5)}" '
+            parts.append(f'<line x1="{vx1:.2f}" y1="{vy1:.2f}" '
+                         f'x2="{vx2:.2f}" y2="{vy2:.2f}" {_STYLE[style]}/>')
+    for xy, style, label in dots:
+        vx, vy = layout.to_view(*xy)
+        parts.append(f'<circle cx="{vx:.2f}" cy="{vy:.2f}" r="3" {_STYLE[style]}/>')
+        parts.append(f'<text x="{vx + 5:.2f}" y="{vy - 5:.2f}" '
                      f'{_STYLE["label"]}>{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _meets(cfg, vertices) -> list:
+def _meets(cfg, triples) -> list:
     """Labelled dots at the side crossings of a ceva or inscribed config
-    with these vertices."""
-    return [(crossing_point(vertices, f), "meet",
+    whose vertices have these homogeneous triples."""
+    n = len(triples)
+    return [(_meet(triples[f.j - 1], triples[f.j % n], f), "meet",
              f"M{f.j}" if cfg.t == 1 else f"M{f.i},{f.j}") for f in cfg.factors]
 
 
 def _dots(points, style: str, label: str) -> list:
-    return [(p, style, f"{label}{i}") for i, p in enumerate(points, start=1)]
+    return [(xy, style, f"{label}{i}") for i, xy in enumerate(points, start=1)]
 
 
 def render_ceva_svg(cfg: CevaConfig) -> str:
-    return _figure(cfg.vertices,
-                   [line_through(v, cfg.pivot) for v in cfg.vertices],
-                   [*_meets(cfg, cfg.vertices), *_dots(cfg.vertices, "vertex", "A"),
-                    (cfg.pivot, "pivot", "M")])
+    triples = [homogeneous(v) for v in cfg.vertices]
+    pivot = homogeneous(cfg.pivot)
+    corners = [_xy(v) for v in cfg.vertices]
+    return _figure(corners, [_join(v, pivot) for v in triples],
+                   [*_meets(cfg, triples), *_dots(corners, "vertex", "A"),
+                    (_xy(cfg.pivot), "pivot", "M")])
 
 
 def render_inscribed_svg(cfg: InscribedConfig) -> str:
@@ -146,13 +197,19 @@ def render_inscribed_svg(cfg: InscribedConfig) -> str:
     # line through A_i and M'_i.
     vertices = cfg.vertices
     m_primes = cfg.m_primes
-    return _figure(vertices, list(map(line_through, vertices, m_primes)),
-                   [*_meets(cfg, vertices), *_dots(m_primes, "meet", "M&#8242;"),
-                    *_dots(vertices, "vertex", "A")], cfg.radius)
+    triples = [homogeneous(v) for v in vertices]
+    corners = [_xy(v) for v in vertices]
+    return _figure(corners, [_join(v, homogeneous(m))
+                             for v, m in zip(triples, m_primes)],
+                   [*_meets(cfg, triples),
+                    *_dots(map(_xy, m_primes), "meet", "M&#8242;"),
+                    *_dots(corners, "vertex", "A")], cfg.radius)
 
 
 def render_counterexample_svg(result: Counterexample) -> str:
-    return _figure(result.vertices, result.cevians,
-                   [*_dots(result.meet_points, "meet", "M"),
-                    *_dots(result.vertices, "vertex", "A"),
-                    (result.pivot, "pivot", "M")])
+    corners = [_xy(v) for v in result.vertices]
+    return _figure(corners, [(_float(line.a), _float(line.b), _float(line.c))
+                             for line in result.cevians],
+                   [*_dots(map(_xy, result.meet_points), "meet", "M"),
+                    *_dots(corners, "vertex", "A"),
+                    (_xy(result.pivot), "pivot", "M")])

@@ -1,5 +1,6 @@
 """Engine tests for the polygon product identity and its specializations."""
 
+import json
 import math
 import sys
 from fractions import Fraction as F
@@ -31,8 +32,9 @@ from polyceva.geometry import (
     point_from_ratio,
 )
 from polyceva.circle import inscribed_identity_report
-from polyceva.configio import ceva_run_report
+from polyceva.configio import ReportEncoder, ceva_run_report
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
+from polyceva.svgout import render_ceva_svg
 
 from _exact_oracle import (
     AffineMap,
@@ -198,8 +200,8 @@ class TestFactorPair:
             assert repr(built) == repr(f)
 
     def test_no_fraction_per_factor(self):
-        """Building, multiplying and reporting a ceva config's 195 factors
-        makes no Fraction per factor."""
+        """Building, multiplying, reporting and drawing a ceva config's
+        195 factors makes no Fraction per factor."""
         vertices = tuple(pt(k, k * k) for k in range(15))
         pivot = Point(F(22, 3), F(561, 7))
         code = F.__new__.__code__
@@ -215,9 +217,12 @@ class TestFactorPair:
             cfg = CevaConfig(vertices, pivot, 1, 13)
             report = ceva_product(cfg)
             doc = ceva_run_report(cfg, report)
+            text = json.dumps(doc, indent=2, cls=ReportEncoder)
+            figure = render_ceva_svg(cfg)
         finally:
             sys.setprofile(None)
         assert len(doc["factors"]) == 195 and report.holds
+        assert text.count('"value"') == figure.count('fill="#c62828"') == 195
         assert calls < 10
 
 

@@ -1,7 +1,9 @@
 """Config file parsing, validation errors, and round-trip serialization."""
 
+import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,14 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 import polyceva.ceva
 import polyceva.circle
 import polyceva.configio
-from polyceva.ceva import MAX_VERTICES, CevaConfig
+from polyceva.ceva import MAX_VERTICES, CevaConfig, Factor, ceva_product
 from polyceva.circle import InscribedConfig
 from polyceva.configio import (
     MAX_BYTES,
     MAX_WORK,
     CounterexampleInput,
     ReportEncoder,
+    ceva_run_report,
     config_to_dict,
+    factor_entry,
     parse_config,
 )
 from polyceva.errors import (
@@ -29,7 +33,7 @@ from polyceva.errors import (
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 from polyceva.geometry import Point
 
-from _golden import CASES, expected as golden_expected
+from _golden import CASES, GOLDEN, expected as golden_expected
 
 TRIANGLE_DOC = {
     "kind": "ceva",
@@ -472,15 +476,27 @@ def report_text(doc) -> str:
 # (also outside the BMP) next to plain ones.
 _TEXT = st.text(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600a ')
                 | st.characters(), max_size=12)
+# Factor rows: any labels, parts of up to 1000 digits, negative
+# numerators and whole values among them.
+_PARTS = st.integers(1, 10**1000 - 1)
+_FACTORS = st.builds(
+    lambda i, j, num, den: Factor(i, j, Fraction(num, den)),
+    st.integers(), st.integers(), _PARTS | _PARTS.map(int.__neg__),
+    st.just(1) | _PARTS)
 _SCALARS = (st.none() | st.booleans() | _TEXT
             | st.integers() | st.integers(-10**1000, 10**1000)
-            | st.floats(allow_nan=False, allow_infinity=False))
+            | st.floats(allow_nan=False, allow_infinity=False) | _FACTORS)
 _DOCS = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(_TEXT, inner, max_size=4)),
     max_leaves=24)
+
+
+def json_text(doc) -> str:
+    """json's own indent=2 text of a report, with factor_entry's rows."""
+    return json.dumps(doc, indent=2, default=factor_entry)
 
 
 class TestReportEncoder:
@@ -492,8 +508,45 @@ class TestReportEncoder:
                   "nested": {"a": [{"b": ()}]}})
     @example(doc=[])
     @example(doc="\"\\\x01\u00e9")
+    @example(doc={"factors": (Factor(1, 2, Fraction(-3, 7)),
+                              Factor(-4, 0, Fraction(-10**999))),
+                  "row": [Factor(5, 5, Fraction(10**999, 10**999 + 1))]})
     def test_matches_json(self, doc):
-        assert report_text(doc) == json.dumps(doc, indent=2)
+        assert report_text(doc) == json_text(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor=_FACTORS)
+    def test_factor_entry_spells_the_value(self, factor):
+        assert factor_entry(factor) == {"i": factor.i, "j": factor.j,
+                                        "value": str(factor.value)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_DOCS)
+    def test_dump_writes_the_same_text(self, doc):
+        """json.dump takes json's iterencode path, which reads rows
+        through ReportEncoder.default."""
+        out = io.StringIO()
+        json.dump(doc, out, indent=2, cls=ReportEncoder)
+        assert out.getvalue() == report_text(doc)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit on this interpreter")
+    def test_factor_rows_at_the_lowest_limit(self):
+        """A report whose factor texts pass 640 digits writes the same
+        text under Python's lowest int-string limit."""
+        cfg = parse_config(
+            (GOLDEN / "inputs" / "pentagon_300_digits.json").read_bytes())
+        doc = ceva_run_report(cfg, ceva_product(cfg))
+        want = (GOLDEN / "pentagon_300_digits.verify.out").read_text()[:-1]
+        assert max(len(factor_entry(f)["value"]) for f in doc["factors"]) > 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            out = io.StringIO()
+            json.dump(doc, out, indent=2, cls=ReportEncoder)
+            assert report_text(doc) == out.getvalue() == want
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("name", sorted(
         name for name, argv in CASES.items()
