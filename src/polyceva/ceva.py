@@ -52,6 +52,10 @@ def sides_hit(i: int, s: int, t: int, n: int) -> list[int]:
 MAX_VERTICES = 256
 
 
+# (-1)^n by the parity of n, as PARITY_SIGNS[n % 2].
+PARITY_SIGNS = (Fraction(1), Fraction(-1))
+
+
 def validate_split(n: int, s: int, t: int) -> None:
     """Raise InvariantViolation unless 3 <= n <= MAX_VERTICES, s, t >= 1
     and 2s + t = n."""
@@ -278,7 +282,7 @@ def ceva_product(cfg: CevaConfig) -> ProductReport:
 
     Equals (-1)^n exactly for every valid configuration.
     """
-    return ProductReport.from_factors(cfg.factors, Fraction(-1) ** cfg.n)
+    return ProductReport.from_factors(cfg.factors, PARITY_SIGNS[cfg.n % 2])
 
 
 def classic_ceva_product(triangle: Sequence[Point], pivot: Point) -> ProductReport:

@@ -36,7 +36,13 @@ from .geometry import (
     homogeneous,
     line_through,
 )
-from .ceva import Factor, factor_product, side_factors, validate_split
+from .ceva import (
+    PARITY_SIGNS,
+    Factor,
+    factor_product,
+    side_factors,
+    validate_split,
+)
 
 # A circle parameter p/q as the integer pair [p : q]; any nonzero
 # multiple names the same point.
@@ -46,7 +52,7 @@ Pair = tuple[int, int]
 def _pair_point(pair: Pair, r: Fraction) -> Point:
     """The circle point of parameter pair [p : q]; [1 : 0] is (-r, 0)."""
     x, y, w = _pair_triple(pair, r.numerator, r.denominator)
-    return Point(Fraction(x, w), Fraction(y, w))
+    return Point.from_parts(x, w, y, w)
 
 
 def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
@@ -169,10 +175,12 @@ class InscribedConfig(Frozen):
             factors += side_factors(vertices, i + 1, point, s, t)
         d["factors"] = tuple(factors)
         d["m_prime_pairs"] = tuple(pair for _, pair in lines)
-        # Each spec is compared with the first, so no Point is hashed.
+        # Each spec's stored triple is compared with the first one's, so
+        # no Point is hashed and no Fraction built.
         first = line_specs[0]
         d["common_point"] = (first if isinstance(first, Point) and all(
-            spec == first for spec in line_specs[1:]) else None)
+            isinstance(spec, Point) and homogeneous(spec) == homogeneous(first)
+            for spec in line_specs[1:]) else None)
 
     @property
     def n(self) -> int:
@@ -297,7 +305,7 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
     """
     if cfg.common_point is None:
         raise ValueError("vertex lines do not share one common point")
-    return _identity_report(cfg, Fraction(-1) ** cfg.n)
+    return _identity_report(cfg, PARITY_SIGNS[cfg.n % 2])
 
 
 def _identity_report(cfg: InscribedConfig,

@@ -35,7 +35,7 @@ from .ceva import MAX_VERTICES, CevaConfig, Counterexample, Factor, ProductRepor
 from .circle import InscribedConfig, InscribedReport
 from .errors import InvalidRational, InvariantViolation, MalformedJson
 from .frozen import Frozen, rational_text
-from .geometry import Point, format_rational, parse_rational
+from .geometry import Point, format_rational, parse_parts
 
 
 class CounterexampleInput(Frozen):
@@ -88,20 +88,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _rational(value, where: str) -> Fraction:
+def _parts(value, where: str) -> tuple[int, int]:
+    """The integer parts of the rational string ``value``; errors name
+    the field ``where``."""
     if not isinstance(value, str):
         raise InvalidRational(f"{where}: rationals must be strings, got {value!r}")
     try:
-        return parse_rational(value)
+        return parse_parts(value)
     except InvalidRational as exc:
         raise InvalidRational(f"{where}: {exc}") from exc
+
+
+def _rational(value, where: str) -> Fraction:
+    return Fraction(*_parts(value, where))
 
 
 def _point(value, where: str) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise InvariantViolation(f"{where}: a point is a [x, y] pair")
-    return Point(_rational(value[0], f"{where}[0]"),
-                 _rational(value[1], f"{where}[1]"))
+    return Point.from_parts(*_parts(value[0], f"{where}[0]"),
+                            *_parts(value[1], f"{where}[1]"))
 
 
 def _field(doc: dict, key: str):
@@ -134,13 +140,9 @@ def _points(doc: dict, key: str) -> tuple[Point, ...]:
                  for i, p in enumerate(_entries(doc, key, "points")))
 
 
-def _bits(*values: Fraction) -> int:
-    """Largest bit length among the numerators and denominators: that of
-    all of them ORed together."""
-    union = 0
-    for v in values:
-        union |= abs(v.numerator) | v.denominator
-    return union.bit_length()
+def _bits(parts) -> int:
+    """Largest bit length among the integers ``parts``, 0 for none."""
+    return max(map(int.bit_length, parts), default=0)
 
 
 def _check_work(n: int, t: int, bits: int, product_bits: int) -> None:
@@ -187,7 +189,7 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         vertices = _points(doc, "vertices")
         pivot = _point(_field(doc, "M"), "M")
         s, t = _int(doc, "s"), _int(doc, "t")
-        bits = _bits(*(c for p in (*vertices, pivot) for c in (p.x, p.y)))
+        bits = _bits(c for p in (*vertices, pivot) for c in p.parts)
         _check_work(len(vertices), t, bits, bits)
         return CevaConfig(vertices, pivot, s, t)
     if kind == "inscribed":
@@ -201,10 +203,12 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         # a(q^2 - p^2), 2apq and b(q^2 + p^2).  A through-point's own
         # parts, up to twice its bits at a common denominator, enter the
         # second circle point of its line and so the chord products.
-        circle_bits = _bits(radius) + 2 * _bits(
-            *params, *(spec for spec in specs if not isinstance(spec, Point)))
-        through_bits = _bits(*(c for spec in specs if isinstance(spec, Point)
-                               for c in (spec.x, spec.y)))
+        circle_bits = _bits((radius.numerator, radius.denominator)) + 2 * _bits(
+            c for u in (*params, *(spec for spec in specs
+                                   if not isinstance(spec, Point)))
+            for c in (u.numerator, u.denominator))
+        through_bits = _bits(c for spec in specs if isinstance(spec, Point)
+                             for c in spec.parts)
         _check_work(len(params), t, max(circle_bits, through_bits),
                     circle_bits + 2 * through_bits)
         return InscribedConfig(radius, params, specs, s, t)
@@ -228,7 +232,8 @@ def _line_spec(item, where: str):
 
 
 def point_to_json(p: Point) -> list[str]:
-    return [format_rational(p.x), format_rational(p.y)]
+    xn, xd, yn, yd = p.parts
+    return [rational_text(xn, xd), rational_text(yn, yd)]
 
 
 def config_to_dict(cfg: ParsedConfig) -> dict:

@@ -9,11 +9,12 @@ writes its own ``__init__``, which calls ``Frozen.__init__`` once with
 the checked values; results it stores beyond its fields (computed once,
 at construction) it then sets in ``self.__dict__`` itself.  Only
 ``Point`` and ``Factor`` set their attributes in ``self.__dict__`` by
-hand.  ``Point``, built once per coordinate pair, takes half the time
-of the inherited constructor that way.  ``Factor`` stores its value as
-the integer pair ``num``/``den`` and reads its ``value`` field through
-a property, which builds the Fraction.  ``repr``, ``==`` and ``hash``
-use exactly the fields, so stored results are left out of all three.
+hand, and store integers in place of their Fraction fields: ``Point``
+its reduced integer parts and its homogeneous triple, ``Factor`` its
+value as the pair ``num``/``den``.  Each reads its Fraction fields
+through properties, which build the Fraction on each read.  ``repr``,
+``==`` and ``hash`` use exactly the fields, so stored results are left
+out of all three.
 After construction, assigning or deleting any attribute raises
 AttributeError.
 

@@ -132,7 +132,11 @@ def _rand_rational(rng: random.Random, bound: int) -> Fraction:
 
 
 def _rand_point(rng: random.Random, bound: int) -> Point:
-    return Point(_rand_rational(rng, bound), _rand_rational(rng, bound))
+    """A point whose parts are drawn as x num, x den, y num, y den, the
+    order `_rand_rational` draws two coordinates in."""
+    randint = rng.randint
+    return Point.from_parts(randint(-bound, bound), randint(1, bound),
+                            randint(-bound, bound), randint(1, bound))
 
 
 def _draw_shape(rng: random.Random, params: GenParams) -> tuple[int, int, int]:

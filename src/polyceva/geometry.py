@@ -1,10 +1,13 @@
 """Exact planar geometry over the rationals.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, canonical
-form: positive denominator, gcd 1), so nothing is ever rounded.  The
-engine modules read points as integer homogeneous triples
+Every value is exact (arbitrary-precision integers and
+``fractions.Fraction``, canonical form: positive denominator, gcd 1), so
+nothing is ever rounded.  A `Point` stores its coordinates as reduced
+integer parts and its canonical integer homogeneous triple, both
+computed once when it is built; its ``x`` and ``y`` are Fraction views
+built on each read.  The engine modules read points as those triples
 (`homogeneous`) and decide their identities by exact comparison of
-integers or Fractions.
+integers.  `parse_parts` is the one reader of the wire format "p/q".
 
 Lines are stored as homogeneous triples (a, b, c) for the locus
 a*x + b*y + c = 0, normalized so the first nonzero coefficient of (a, b)
@@ -26,7 +29,7 @@ RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 
-# Longest numerator or denominator parse_rational accepts, in digits.
+# Longest numerator or denominator parse_parts accepts, in digits.
 MAX_DIGITS = 1000
 
 
@@ -41,8 +44,9 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p/q" (or "p"), denominator positive.
+def parse_parts(text: str) -> tuple[int, int]:
+    """The integer parts (num, den) of the wire format "p/q" (or "p",
+    den 1), den positive and the pair not reduced.
 
     Digits are ASCII only, at most MAX_DIGITS per part.  Raises
     InvalidRational for anything else, including "1/0".
@@ -60,11 +64,16 @@ def parse_rational(text: str) -> Fraction:
     if text[0] == "-":
         num = -num
     if den_digits is None:
-        return Fraction(num)
+        return num, 1
     den = from_decimal(den_digits)
     if den == 0:
         raise InvalidRational(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of the wire format "p/q" (or "p"); see `parse_parts`."""
+    return Fraction(*parse_parts(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -72,17 +81,65 @@ def format_rational(value: Fraction) -> str:
     return rational_text(value.numerator, value.denominator)
 
 
+# Integer homogeneous coordinates (X, Y, W) of the point (X/W, Y/W), W > 0.
+Homogeneous = tuple[int, int, int]
+
+
 class Point(Frozen):
-    """Exact point in the plane."""
+    """Exact point in the plane.
+
+    A Point stores, computed once when it is built, ``parts``, the
+    reduced integer parts (xn, xd, yn, yd) of x = xn/xd and y = yn/yd
+    (gcd 1, denominators positive), and ``triple``, its canonical
+    homogeneous triple (`homogeneous`).  ``x`` and ``y`` build their
+    Fraction on each read, so repr, == and hash, which read them, are
+    those of the pair of Fractions.  Code that needs neither Fraction
+    reads the integers.
+    """
 
     _fields = ("x", "y")
-    x: Fraction
-    y: Fraction
+    parts: tuple[int, int, int, int]
+    triple: Homogeneous
 
     def __init__(self, x: RationalLike, y: RationalLike):
-        d = self.__dict__
-        d["x"] = as_rational(x)
-        d["y"] = as_rational(y)
+        x = as_rational(x)
+        y = as_rational(y)
+        _store(self, x.numerator, x.denominator, y.numerator, y.denominator)
+
+    @classmethod
+    def from_parts(cls, xn: int, xd: int, yn: int, yd: int) -> "Point":
+        """The point (xn/xd, yn/yd) of integer parts, reduced with one gcd
+        per coordinate and built with no Fraction.  Raises ValueError
+        unless both denominators are positive."""
+        if xd <= 0 or yd <= 0:
+            raise ValueError(
+                f"point denominators must be positive, got {xd} and {yd}")
+        g = math.gcd(xn, xd)
+        h = math.gcd(yn, yd)
+        p = object.__new__(cls)
+        _store(p, xn // g, xd // g, yn // h, yd // h)
+        return p
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.parts[0], self.parts[1])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.parts[2], self.parts[3])
+
+
+def _store(p: Point, xn: int, xd: int, yn: int, yd: int) -> None:
+    """Set the parts of a Point from reduced parts, and its triple: W is
+    lcm(xd, yd), so gcd(X, Y, W) = 1."""
+    if xd == yd:
+        triple = (xn, yn, xd)
+    else:
+        g = math.gcd(xd, yd)
+        triple = (xn * (yd // g), yn * (xd // g), xd // g * yd)
+    d = p.__dict__
+    d["parts"] = (xn, xd, yn, yd)
+    d["triple"] = triple
 
 
 class Line(Frozen):
@@ -122,10 +179,15 @@ class Line(Frozen):
 
 
 def line_through(p: Point, q: Point) -> Line:
-    """The unique line containing two distinct points."""
-    if p == q:
+    """The unique line containing two distinct points: the cross product
+    of their homogeneous triples, a positive multiple of
+    (y_p - y_q, x_q - x_p, x_p y_q - x_q y_p)."""
+    if p.triple == q.triple:
         raise ValueError(f"no unique line through coincident points {p}")
-    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    x_p, y_p, w_p = p.triple
+    x_q, y_q, w_q = q.triple
+    return Line(y_p * w_q - w_p * y_q, w_p * x_q - x_p * w_q,
+                x_p * y_q - y_p * x_q)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
@@ -140,17 +202,11 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return Point(x, y)
 
 
-# Integer homogeneous coordinates (X, Y, W) of the point (X/W, Y/W), W > 0.
-Homogeneous = tuple[int, int, int]
-
-
 def homogeneous(p: Point) -> Homogeneous:
     """Integer homogeneous coordinates (X, Y, W) of p, with x = X/W,
-    y = Y/W and W > 0 the least common denominator of x and y."""
-    dx = p.x.denominator
-    dy = p.y.denominator
-    w = math.lcm(dx, dy)
-    return p.x.numerator * (w // dx), p.y.numerator * (w // dy), w
+    y = Y/W and W > 0 the least common denominator of x and y: the
+    triple p stored when it was built."""
+    return p.triple
 
 
 def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
@@ -159,28 +215,33 @@ def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
 
     Solving (A - X) = r (B - X) gives X = (A - r B) / (1 - r); r = 1 has
     no solution (X escapes to infinity), and A = B leaves only X = B,
-    the denominator end.  With r = p/q and a coordinate u = u_n/u_d of
-    A, v = v_n/v_d of B, each coordinate of X is the one integer
-    quotient (q u_n v_d - p v_n u_d) / ((q - p) u_d v_d), reduced once.
+    the denominator end.  With r = p/q, signs chosen so that q - p > 0,
+    and a coordinate u = u_n/u_d of A, v = v_n/v_d of B, each coordinate
+    of X is the one integer quotient
+    (q u_n v_d - p v_n u_d) / ((q - p) u_d v_d), reduced once.
     """
     r = as_rational(ratio)
     if r == 1:
         raise ValueError("no finite point realizes directed ratio 1")
-    if a == b:
+    if a.triple == b.triple:
         raise ValueError(
             f"ratio point {a} coincides with the denominator end")
     p, q = r.numerator, r.denominator
-    coords = []
-    for u, v in ((a.x, b.x), (a.y, b.y)):
-        u_n, u_d = u.numerator, u.denominator
-        v_n, v_d = v.numerator, v.denominator
-        x = Fraction(q * u_n * v_d - p * v_n * u_d, (q - p) * u_d * v_d)
-        # The defining relation q (u - x) = p (v - x), cross-multiplied.
-        x_n, x_d = x.numerator, x.denominator
-        assert (q * (u_n * x_d - x_n * u_d) * v_d
-                == p * (v_n * x_d - x_n * v_d) * u_d)
-        coords.append(x)
-    return Point(*coords)
+    if q < p:
+        p, q = -p, -q
+    ax_n, ax_d, ay_n, ay_d = a.parts
+    bx_n, bx_d, by_n, by_d = b.parts
+    point = Point.from_parts(
+        q * ax_n * bx_d - p * bx_n * ax_d, (q - p) * ax_d * bx_d,
+        q * ay_n * by_d - p * by_n * ay_d, (q - p) * ay_d * by_d)
+    # The defining relation q (u - x) = p (v - x) for each coordinate,
+    # cross-multiplied.
+    x_n, x_d, y_n, y_d = point.parts
+    assert (q * (ax_n * x_d - x_n * ax_d) * bx_d
+            == p * (bx_n * x_d - x_n * bx_d) * ax_d)
+    assert (q * (ay_n * y_d - y_n * ay_d) * by_d
+            == p * (by_n * y_d - y_n * by_d) * ay_d)
+    return point
 
 
 def are_concurrent(lines: Sequence[Line]) -> bool:

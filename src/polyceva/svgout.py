@@ -93,7 +93,8 @@ def _float(x: Fraction) -> float:
 
 
 def _xy(p: Point) -> tuple[float, float]:
-    return _float(p.x), _float(p.y)
+    xn, xd, yn, yd = p.parts
+    return xn / xd, yn / yd
 
 
 def _join(p: Homogeneous, q: Homogeneous) -> tuple[float, float, float]:

@@ -1,5 +1,6 @@
 """Engine tests for the polygon product identity and its specializations."""
 
+import contextlib
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from polyceva.geometry import (
     point_from_ratio,
 )
 from polyceva.circle import inscribed_identity_report
-from polyceva.configio import ReportEncoder, ceva_run_report
+from polyceva.configio import ReportEncoder, ceva_run_report, parse_config
 from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
 from polyceva.svgout import render_ceva_svg
 
@@ -51,6 +52,24 @@ from _float_oracle import float_ceva_product
 
 def pt(x, y) -> Point:
     return Point(F(x), F(y))
+
+
+@contextlib.contextmanager
+def _fractions_built():
+    """Count the Fractions constructed inside the block: yields a list
+    whose one item is the count so far."""
+    code = F.__new__.__code__
+    built = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built[0] += 1
+
+    sys.setprofile(count)
+    try:
+        yield built
+    finally:
+        sys.setprofile(None)
 
 
 TRIANGLE = (pt(0, 0), pt(4, 0), pt(0, 4))
@@ -204,26 +223,36 @@ class TestFactorPair:
         195 factors makes no Fraction per factor."""
         vertices = tuple(pt(k, k * k) for k in range(15))
         pivot = Point(F(22, 3), F(561, 7))
-        code = F.__new__.__code__
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code is code:
-                calls += 1
-
-        sys.setprofile(count)
-        try:
+        with _fractions_built() as built:
             cfg = CevaConfig(vertices, pivot, 1, 13)
             report = ceva_product(cfg)
             doc = ceva_run_report(cfg, report)
             text = json.dumps(doc, indent=2, cls=ReportEncoder)
             figure = render_ceva_svg(cfg)
-        finally:
-            sys.setprofile(None)
         assert len(doc["factors"]) == 195 and report.holds
         assert text.count('"value"') == figure.count('fill="#c62828"') == 195
-        assert calls < 10
+        assert built[0] < 10
+
+    def test_no_fraction_per_point(self):
+        """Parsing a ceva doc and drawing one fuzz-ceva trial build as many
+        Fractions for a 45-gon as for a pentagon: none per coordinate."""
+        def counts(n: int) -> tuple[int, int]:
+            # An affine image of the parabola points (k, k^2) and a pivot
+            # off every side-line and vertex line.
+            doc = json.dumps({"kind": "ceva", "M": ["22/9", "187/7"],
+                              "vertices": [[f"{k}/3", f"{k * k}/9"]
+                                           for k in range(n)],
+                              "s": 1, "t": n - 2})
+            params = GenParams(seed=3, n_min=n, n_max=n,
+                               coordinate_bound=10 ** 6)
+            with _fractions_built() as parsing:
+                parsed = parse_config(doc)
+            with _fractions_built() as drawing:
+                drawn = gen_ceva_config(params, 0)
+            assert parsed.n == drawn.n == n
+            return parsing[0], drawing[0]
+
+        assert counts(5) == counts(45)
 
 
 class TestCevaProduct:

@@ -263,7 +263,11 @@ class TestConcurrentSecants:
         assert inscribed_identity_report(cfg).expected is None
         us = (F(-2), F(0), F(1, 2))
         shared = Point(F(1, 10), F(1, 10))
+        # Through-points off the shared one differ from it in x only, in
+        # y only, or in both.
         for specs in [(shared, shared, Point(F(1, 7), F(1, 5))),
+                      (shared, shared, Point(F(1, 10), F(1, 5))),
+                      (shared, shared, Point(F(1, 5), F(1, 10))),
                       (shared, shared, F(5))]:
             assert InscribedConfig(F(1), us, specs, 1, 1).common_point is None
         assert pentagon_config().common_point is None

@@ -321,7 +321,8 @@ class TestWorkBudget:
     @example([Fraction(-2**70), Fraction(1, 2**70 - 1)])
     def test_operand_bits(self, values):
         """The largest bit length among numerators and denominators."""
-        assert polyceva.configio._bits(*values) == max(
+        parts = (c for v in values for c in (v.numerator, v.denominator))
+        assert polyceva.configio._bits(parts) == max(
             (max(v.numerator.bit_length(), v.denominator.bit_length())
              for v in values), default=0)
 
@@ -422,8 +423,8 @@ class TestListLimit:
         ("lines", {"second_param": "7/9"})])
     def test_long_list_rejected_unparsed(self, monkeypatch, field, entry):
         parsed = []
-        monkeypatch.setattr(polyceva.configio, "parse_rational",
-                            lambda text: parsed.append(text) or Fraction(2))
+        monkeypatch.setattr(polyceva.configio, "parse_parts",
+                            lambda text: parsed.append(text) or (2, 1))
         with pytest.raises(InvariantViolation, match="at most 256 vertices"):
             parse_config(self.doc(field, [entry] * 100_000))
         # Fields before the long list are parsed, none of its entries.

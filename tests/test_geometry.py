@@ -21,6 +21,7 @@ from polyceva.geometry import (
     homogeneous,
     intersect_lines,
     line_through,
+    parse_parts,
     parse_rational,
     point_from_ratio,
 )
@@ -56,11 +57,25 @@ class TestRationalWire:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
+    @pytest.mark.parametrize("text,parts", [
+        ("0", (0, 1)),
+        ("-0/3", (0, 3)),
+        ("-7", (-7, 1)),
+        ("4/6", (4, 6)),
+        ("+3/9", (3, 9)),
+        ("-12/8", (-12, 8)),
+    ])
+    def test_parse_parts_unreduced(self, text, parts):
+        assert parse_parts(text) == parts
+        assert F(*parts) == parse_rational(text)
+
     @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1/-2", "", "1 / 2", None, 3,
                                      "4\n"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidRational):
             parse_rational(bad)
+        with pytest.raises(InvalidRational):
+            parse_parts(bad)
 
     def test_float_coordinate_rejected(self):
         with pytest.raises(TypeError, match="cannot interpret 1.5 as a rational"):
@@ -208,6 +223,63 @@ class TestHomogeneous:
         # Every W that clears both denominators is a multiple of the
         # least one, so W is least iff X, Y and W share no factor.
         assert math.gcd(x, y, w) == 1
+
+
+def _lcm_triple(x: F, y: F) -> tuple[int, int, int]:
+    """The homogeneous triple of (x, y) by the lcm of the denominators."""
+    w = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
+
+
+class TestPointFromParts:
+    """Point.from_parts(xn, xd, yn, yd) is Point(F(xn, xd), F(yn, yd))."""
+
+    @staticmethod
+    def check(xn, xd, yn, yd):
+        x, y = F(xn, xd), F(yn, yd)
+        built = Point.from_parts(xn, xd, yn, yd)
+        want = Point(x, y)
+        assert built == want and hash(built) == hash(want) == hash((x, y))
+        assert repr(built) == repr(want)
+        assert homogeneous(built) == homogeneous(want) == _lcm_triple(x, y)
+        assert built.parts == want.parts == (
+            x.numerator, x.denominator, y.numerator, y.denominator)
+        assert (built.x, built.y) == (x, y)
+
+    @pytest.mark.parametrize("parts", [
+        (0, 1, 0, 1),
+        (0, 5, 0, 3),
+        (-4, 6, -9, 12),
+        (10, 4, 21, 14),
+        (-7, 1, 3, 9),
+        (6, 3, -8, 2),
+    ])
+    def test_hand_cases(self, parts):
+        self.check(*parts)
+
+    @given(st.integers(), st.integers(1, 10**40),
+           st.integers(), st.integers(1, 10**40))
+    def test_any_parts(self, xn, xd, yn, yd):
+        self.check(xn, xd, yn, yd)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit on this interpreter")
+    def test_parts_past_the_int_string_limit(self):
+        big = 10 ** 700 + 3
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            self.check(-6 * big, 4 * 3 ** 1400, big, 10 ** 650)
+            self.check(big, big * 7, -(big ** 2), 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("parts", [
+        (1, 0, 1, 1), (1, 1, 1, 0), (1, -2, 1, 1), (1, 1, 1, -3), (0, 0, 0, 0)])
+    def test_denominator_not_positive(self, parts):
+        with pytest.raises(ValueError, match="denominators must be positive"):
+            Point.from_parts(*parts)
 
 
 class TestCollinear:

@@ -1,9 +1,10 @@
 """Layering rules: no polyceva module imports another module's private
 names, none uses dataclasses, only Frozen defines how a value is
 assigned, deleted, hashed or printed, every Frozen class has at least
-two fields, only svgout.py computes in floats, every export has a caller
-in the library, every generator knob has a ``fuzz`` flag, and every name
-the perfbench tracer patches exists."""
+two fields, only svgout.py computes in floats, only the Line algebra
+reads a Point's Fraction views, every export has a caller in the
+library, every generator knob has a ``fuzz`` flag, and every name the
+perfbench tracer patches exists."""
 
 import ast
 import importlib
@@ -134,6 +135,49 @@ def test_float_lint_finds_each_kind():
     assert sorted(_float_uses(ast.parse(source))) == [
         "2: from math import sqrt", "3: literal 0.0", "3: literal 1.5", "4: float()",
         "4: literal 1e-09", "4: math.hypot", "4: math.pi"]
+
+
+# Functions allowed to read a Point's ``x`` or ``y``, each read of which
+# builds a Fraction: the Line algebra of the counterexample.  All other
+# code reads a Point's integer ``parts`` or its homogeneous triple.
+POINT_FRACTION_READERS = {"geometry.Line.value_at"}
+
+
+def _xy_readers(tree: ast.AST, module: str) -> set[str]:
+    """Qualified names of the functions and classes whose code reads an
+    attribute ``x`` or ``y``; ``module`` alone for module-level code."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in ("x", "y"):
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return readers
+
+
+def test_only_the_line_algebra_reads_point_fractions():
+    readers = set()
+    for path in SRC.glob("*.py"):
+        readers |= _xy_readers(ast.parse(path.read_text(), filename=str(path)),
+                               path.stem)
+    assert sorted(readers - POINT_FRACTION_READERS) == []
+
+
+def test_xy_reader_lint_finds_each_scope():
+    source = ("def f(p):\n    return p.x\n"
+              "class C:\n    def m(self, q):\n"
+              "        def inner():\n            return q.y\n"
+              "        return inner\n"
+              "z = P.x\n"
+              "def g(p):\n    return p.parts, p.xy\n")
+    assert _xy_readers(ast.parse(source), "mod") == {
+        "mod.f", "mod.C.m.inner", "mod"}
 
 
 # Exports no polyceva module uses, each with the reason it stays.
