@@ -137,7 +137,8 @@ class Factor(Frozen):
     den: int
 
     # Stores the value's pair, not the Fraction.  The kernel builds its
-    # factors through _factor, so only callers holding a Fraction use this.
+    # factors from their integer pairs, so only callers holding a
+    # Fraction use this.
     def __init__(self, i: int, j: int, value: Fraction):
         d = self.__dict__
         d["i"] = i
@@ -148,21 +149,6 @@ class Factor(Frozen):
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-
-def _factor(i: int, j: int, num: int, den: int) -> Factor:
-    """Factor(i, j, Fraction(num, den)) for nonzero num and den, built
-    with one gcd and no Fraction."""
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    f = object.__new__(Factor)
-    d = f.__dict__
-    d["i"] = i
-    d["j"] = j
-    d["num"] = num // g
-    d["den"] = den // g
-    return f
 
 
 class ProductReport(Frozen):
@@ -231,7 +217,9 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
     from the line scale like their directed distances from M_ij.  Equal
     areas mean the line is parallel to (or is) the side-line; a zero
     area means the crossing is a side endpoint.  Both raise
-    DegenerateConfig.  The t factors come in sides_hit order.
+    DegenerateConfig.  The t factors come in side order, j = i + s, ...,
+    i + s + t - 1 (mod n), the sides sides_hit lists.  Raises ValueError
+    unless s, t >= 1, 2s + t = n and 1 <= i <= n.
 
     Points are given as integer homogeneous triples (X, Y, W), x = X/W
     and y = Y/W, at any scale with W > 0 (geometry.homogeneous gives the
@@ -239,23 +227,29 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
     product (a, b, c) of A_i and P takes the value a*X_V + b*Y_V +
     c*W_V = W_A W_P W_V [A_i P V] at V, a positive multiple of the
     area.  The line is evaluated once at each of the t + 1 endpoints of
-    its sides, walking them in order, each side's far endpoint being the
-    next one's near endpoint.  A factor is the one quotient
-    (near * W_far) / (far * W_near), which no triple's scale changes,
-    reduced to lowest terms.
+    its sides, walking them with a wrapping index, each side's far
+    endpoint being the next one's near endpoint.  A factor is the one
+    quotient (near * W_far) / (far * W_near), which no triple's scale
+    changes, reduced to lowest terms with one gcd and no Fraction.
     """
     n = len(vertices)
+    if s < 1 or t < 1 or 2 * s + t != n:
+        raise ValueError(f"need s, t >= 1 and 2s + t = n, got s={s}, t={t}, n={n}")
+    if not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range 1..{n}")
     x_p, y_p, w_p = point
     x_a, y_a, w_a = vertices[i - 1]
     a = y_a * w_p - w_a * y_p
     b = w_a * x_p - x_a * w_p
     c = x_a * y_p - y_a * x_p
-    sides = sides_hit(i, s, t, n)
-    x, y, w_near = vertices[sides[0] - 1]
+    k = (i - 1 + s) % n  # vertices[k] is the near endpoint of side k + 1
+    x, y, w_near = vertices[k]
     near = a * x + b * y + c * w_near
     factors = []
-    for j in sides:
-        x, y, w_far = vertices[j % n]
+    for _ in range(t):
+        j = k + 1
+        k = j if j < n else 0
+        x, y, w_far = vertices[k]
         far = a * x + b * y + c * w_far
         num = near * w_far
         den = far * w_near
@@ -265,7 +259,16 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
         if near == 0 or far == 0:
             raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
                                    "crossing lands on a side endpoint")
-        factors.append(_factor(i, j, num, den))
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        f = object.__new__(Factor)
+        d = f.__dict__
+        d["i"] = i
+        d["j"] = j
+        d["num"] = num // g
+        d["den"] = den // g
+        factors.append(f)
         near, w_near = far, w_far
     return factors
 

@@ -11,16 +11,23 @@ Subcommands: verify, counterexample, fuzz, svg.  Exit codes:
 
 Machine-readable JSON is the default output; --pretty renders an
 aligned factor table instead.
+
+One table, ``_COMMANDS``, defines the subcommands and their arguments.
+``main`` first decodes argv with a small matcher over that table, which
+takes only exact long flags and positionals; anything else, ``-h`` and
+every usage error included, goes to the argparse parser that
+`build_parser` builds from the same table.  argparse is imported only
+then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .ceva import CevaConfig, build_converse_counterexample, ceva_product
 from .circle import (
@@ -66,53 +73,143 @@ def _lazy(name: str):
     return globals()[name] if name in globals() else __getattr__(name)
 
 
+# The CLI's one definition, read by both the argv matcher and
+# build_parser.  Each subcommand has its help, its positionals as
+# (dest, type), its long flags as option: (dest, type, default, choices,
+# required, help), and the options of its mutually exclusive group.  A
+# flag of type None is a switch; a default of _UNSET leaves the dest out
+# of the namespace until the flag is given.  _GLOBAL_FLAGS, all
+# switches, go before the subcommand.
+_UNSET = object()
+_CONFIG = (("config", Path),)
+_OUTPUT_FLAGS = {
+    "--json": ("force_json", None, False, None, False,
+               "machine-readable JSON (default)"),
+    "--pretty": ("pretty", None, _UNSET, None, False, None),
+}
+_GLOBAL_FLAGS = {
+    "--pretty": ("pretty", None, False, None, False,
+                 "human-readable output instead of JSON"),
+}
+_COMMANDS = {
+    "verify": ("check the product identity of a config file", _CONFIG,
+               _OUTPUT_FLAGS, ("--json", "--pretty")),
+    "counterexample": ("build the non-concurrent pentagon with product -1",
+                       _CONFIG, _OUTPUT_FLAGS, ("--json", "--pretty")),
+    "fuzz": ("run seeded random verification batches", (), {
+        "--trials": ("trials", int, 100, None, False, None),
+        "--kind": ("kind", str, "ceva", ("ceva", "inscribed", "concurrent"),
+                   False, None),
+        "--n-min": ("n_min", int, 3, None, False, None),
+        "--n-max": ("n_max", int, 7, None, False, None),
+        "--seed": ("seed", int, 0, None, False, None),
+        "--bound": ("bound", int, 10, None, False, None),
+    }, ()),
+    "svg": ("render a config as a standalone SVG figure", _CONFIG,
+            {"--out": ("out", Path, None, None, True, None)}, ()),
+}
+# Per subcommand, the namespace before its arguments are read, and the
+# dests that must be given.
+_DEFAULTS = {
+    command: {"command": command, **{
+        dest: default for dest, _, default, _, required, _ in flags.values()
+        if default is not _UNSET and not required}}
+    for command, (_, _, flags, _) in _COMMANDS.items()}
+_REQUIRED = {
+    command: tuple(dest for dest, *_, required, _ in flags.values() if required)
+    for command, (_, _, flags, _) in _COMMANDS.items()}
+
+
+def _match(argv: list[str]) -> dict | None:
+    """The namespace argparse gives argv, as a dict, when argv holds only
+    global switches, a subcommand, then its exact long flags, each with a
+    valid value, and its positionals; None for anything else (an
+    abbreviation, ``--flag=value``, ``-h``, ``--``, a value starting
+    with ``-``, an unknown or missing token, a bad value, both options
+    of an exclusive group), which argparse parses or reports."""
+    values = {dest: default for dest, _, default, *_ in _GLOBAL_FLAGS.values()}
+    k = 0
+    while k < len(argv) and argv[k] in _GLOBAL_FLAGS:
+        values[_GLOBAL_FLAGS[argv[k]][0]] = True
+        k += 1
+    if k == len(argv) or argv[k] not in _COMMANDS:
+        return None
+    command = argv[k]
+    _, positionals, flags, exclusive = _COMMANDS[command]
+    values.update(_DEFAULTS[command])
+    positional = iter(positionals)
+    tokens = iter(argv[k + 1:])
+    given = set()
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None:
+            if token[:1] == "-":
+                return None
+            spec = next(positional, None)
+            if spec is None:
+                return None
+            values[spec[0]] = spec[1](token)
+            continue
+        dest, kind, _, choices, _, _ = flag
+        given.add(token)
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value defers like "-x"
+        if value[:1] == "-":
+            return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if (next(positional, None) is not None
+            or len(given.intersection(exclusive)) > 1
+            or not all(dest in values for dest in _REQUIRED[command])):
+        return None
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the CLI table: the one path for ``-h``,
+    usage text and every error."""
+    import argparse
+
+    def add(parser, option, dest, kind, default, choices, required, text):
+        if default is _UNSET:
+            default = argparse.SUPPRESS
+        if kind is None:
+            parser.add_argument(option, dest=dest, action="store_true",
+                                default=default, help=text)
+        else:
+            parser.add_argument(option, dest=dest, type=kind, default=default,
+                                choices=choices, required=required, help=text)
+
     parser = argparse.ArgumentParser(
         prog="polyceva",
         description="Exact rational verification of cevian product "
                     "identities on polygons.")
-    parser.add_argument("--pretty", action="store_true",
-                        help="human-readable output instead of JSON")
+    for option, flag in _GLOBAL_FLAGS.items():
+        add(parser, option, *flag)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="check the product identity of a config file")
-    verify.add_argument("config", type=Path)
-    _output_flags(verify)
-
-    counter = sub.add_parser("counterexample",
-                             help="build the non-concurrent pentagon with product -1")
-    counter.add_argument("config", type=Path)
-    _output_flags(counter)
-
-    fuzz = sub.add_parser("fuzz", help="run seeded random verification batches")
-    fuzz.add_argument("--trials", type=int, default=100)
-    fuzz.add_argument("--kind", choices=("ceva", "inscribed", "concurrent"),
-                      default="ceva")
-    fuzz.add_argument("--n-min", type=int, default=3)
-    fuzz.add_argument("--n-max", type=int, default=7)
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--bound", type=int, default=10)
-
-    svg = sub.add_parser("svg", help="render a config as a standalone SVG figure")
-    svg.add_argument("config", type=Path)
-    svg.add_argument("--out", type=Path, required=True)
+    for command, (text, positionals, flags, exclusive) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        for dest, kind in positionals:
+            cmd.add_argument(dest, type=kind)
+        group = cmd.add_mutually_exclusive_group() if exclusive else None
+        for option, flag in flags.items():
+            add(group if option in exclusive else cmd, option, *flag)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and kept for the
-    process: parse_args keeps no state between calls, and building the
-    parser costs far more than using it."""
+    """The parser ``main`` falls back on, built on its first use and kept
+    for the process: parse_args keeps no state between calls, and
+    building the parser costs far more than using it."""
     return build_parser()
-
-
-def _output_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="force_json", action="store_true",
-                       help="machine-readable JSON (default)")
-    group.add_argument("--pretty", dest="pretty", action="store_true",
-                       default=argparse.SUPPRESS)
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -221,7 +318,11 @@ def _cmd_svg(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    values = _match(argv)
+    args = (_parser().parse_args(argv) if values is None
+            else SimpleNamespace(**values))
     pretty = getattr(args, "pretty", False) and not getattr(args, "force_json", False)
     try:
         if args.command in ("verify", "counterexample"):

@@ -99,11 +99,31 @@ def _parts(value, where: str) -> tuple[int, int]:
         raise InvalidRational(f"{where}: {exc}") from exc
 
 
-def _rational(value, where: str) -> Fraction:
-    return Fraction(*_parts(value, where))
+def _label(key: str, index: int | None) -> str:
+    return key if index is None else f"{key}[{index}]"
 
 
-def _point(value, where: str) -> Point:
+def _rational(value, key: str, index: int | None = None) -> Fraction:
+    """The rational string ``value`` of field ``key``, or of its entry
+    ``index``; the label is built only for an error."""
+    try:
+        return Fraction(*parse_parts(value))
+    except InvalidRational:
+        return Fraction(*_parts(value, _label(key, index)))
+
+
+def _point(value, key: str, index: int | None = None) -> Point:
+    """The point of the [x, y] pair ``value`` of field ``key``, or of its
+    entry ``index``.  A valid pair is parsed with no label; an invalid
+    one is parsed again, labelled, so that its error names the field,
+    e.g. ``vertices[3][1]: ...``."""
+    if isinstance(value, list) and len(value) == 2:
+        try:
+            return Point.from_parts(*parse_parts(value[0]),
+                                    *parse_parts(value[1]))
+        except InvalidRational:
+            pass
+    where = _label(key, index)
     if not isinstance(value, list) or len(value) != 2:
         raise InvariantViolation(f"{where}: a point is a [x, y] pair")
     return Point.from_parts(*_parts(value[0], f"{where}[0]"),
@@ -136,7 +156,7 @@ def _entries(doc: dict, key: str, what: str) -> list:
 
 
 def _points(doc: dict, key: str) -> tuple[Point, ...]:
-    return tuple(_point(p, f"{key}[{i}]")
+    return tuple(_point(p, key, i)
                  for i, p in enumerate(_entries(doc, key, "points")))
 
 
@@ -194,7 +214,7 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         return CevaConfig(vertices, pivot, s, t)
     if kind == "inscribed":
         radius = _rational(_field(doc, "radius"), "radius")
-        params = tuple(_rational(u, f"params[{i}]") for i, u in enumerate(
+        params = tuple(_rational(u, "params", i) for i, u in enumerate(
             _entries(doc, "params", "rationals")))
         specs = tuple(_line_spec(item, f"lines[{i}]") for i, item in enumerate(
             _entries(doc, "lines", "line specs")))

@@ -13,11 +13,12 @@ point, and the factor is directed_ratio(M_ij, A_j, A_{j+1}), paired with
 M_ij for polyceva.ceva.crossing_point to be checked against.  It shares
 no formula with the area-principle kernel (polyceva.ceva.side_factors),
 which never builds the crossing point, nor its walk over the sides each
-vertex line crosses (sides_crossed here, ceva.sides_hit there).  Circle
-points come from the half-angle formula in Fractions, the second circle
-point M'_i from the secant's direction, and every chord ratio from
-squared distances between those Points; polyceva.circle computes all
-three in integer parameter pairs and builds no Point for them.
+vertex line crosses (sides_crossed here, the kernel's wrapping index
+there).  Circle points come from the half-angle formula in Fractions,
+the second circle point M'_i from the secant's direction, and every
+chord ratio from squared distances between those Points;
+polyceva.circle computes all three in integer parameter pairs and
+builds no Point for them.
 """
 
 from __future__ import annotations

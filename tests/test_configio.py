@@ -124,6 +124,31 @@ class TestParseCeva:
         with pytest.raises(InvariantViolation):
             parse_config(dumps(doc))
 
+    # Valid points are parsed with no field label; each error still
+    # names its field in full.
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("M", "12", InvariantViolation, "M: a point is a [x, y] pair"),
+        ("M", {"x": "1", "y": "2"}, InvariantViolation,
+         "M: a point is a [x, y] pair"),
+        (1, "12", InvariantViolation, "vertices[1]: a point is a [x, y] pair"),
+        (2, ["0", 4], InvalidRational,
+         "vertices[2][1]: rationals must be strings, got 4"),
+        (2, ["1/0", "4"], InvalidRational,
+         "vertices[2][0]: zero denominator: '1/0'"),
+        ("M", ["4/3", "x"], InvalidRational,
+         "M[1]: not a rational string: 'x'"),
+    ])
+    def test_point_errors_name_the_field(self, field, value, error, message):
+        if field == "M":
+            doc = dict(TRIANGLE_DOC, M=value)
+        else:
+            vertices = list(TRIANGLE_DOC["vertices"])
+            vertices[field] = value
+            doc = dict(TRIANGLE_DOC, vertices=vertices)
+        with pytest.raises(error) as err:
+            parse_config(dumps(doc))
+        assert str(err.value) == message
+
 
 INSCRIBED_DOC = {
     "kind": "inscribed",

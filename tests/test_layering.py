@@ -185,6 +185,8 @@ UNCALLED_EXPORTS = {
     "classic_ceva_product": "Ceva's theorem, the n = 3 case the paper extends",
     "opposite_vertex_product": "the paper's Consequence 1.1",
     "all_sides_product": "the paper's s = 1, t = n - 2 case",
+    "sides_hit": "the paper's sides i + s .. i + s + t - 1 crossed by the "
+                 "line at A_i; side_factors walks them itself",
     "gen_ceva_config": "perfbench digests its stream of configs",
     "gen_inscribed_config": "perfbench digests its stream of configs",
 }

@@ -11,14 +11,17 @@ Aimed draws put a second circle point on purpose at (-r, 0), the one
 point with no finite parameter, on a vertex, or make a line tangent.
 """
 
+import inspect
 import random
+import textwrap
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyceva.ceva
-from polyceva.ceva import CevaConfig, crossing_point, side_factors
+from polyceva.ceva import CevaConfig, crossing_point, side_factors, sides_hit
 from polyceva.circle import (
     InscribedConfig,
     chord_telescoping_squared,
@@ -144,12 +147,24 @@ def test_inscribed_kernel_matches_oracle(bound, concurrent):
         assert seen["degenerate"] > 0 and seen["tangent"] > 0
 
 
+def _kernel_walking_one_side_late():
+    """side_factors with its walk started one side late, so that vertex
+    i's line crosses sides i+s+1 .. i+s+t in place of i+s .. i+s+t-1."""
+    source = textwrap.dedent(inspect.getsource(side_factors))
+    start = "k = (i - 1 + s) % n"
+    assert source.count(start) == 1
+    namespace = {}
+    exec(source.replace(start, "k = (i + s) % n"), vars(polyceva.ceva),
+         namespace)
+    return namespace["side_factors"]
+
+
 @pytest.mark.parametrize("kind", ["ceva", "inscribed"])
 def test_oracle_walks_its_own_sides(kind, monkeypatch):
     """The oracle derives which sides each vertex line crosses without
-    polyceva.ceva: with every side of sides_hit shifted by one, the
+    polyceva.ceva: with the kernel's walk shifted by one side, the
     kernel leaves the oracle's factors on every valid draw.  The shift
-    replaces the function's code, so it reaches every name bound to it."""
+    replaces the kernel's code, so it reaches every name bound to it."""
     rng = random.Random(f"side-walk:{kind}")
     config, oracle = ((CevaConfig, ceva_factors) if kind == "ceva" else
                       (InscribedConfig, lambda *d: inscribed_factors(*d)[0]))
@@ -162,12 +177,52 @@ def test_oracle_walks_its_own_sides(kind, monkeypatch):
         except (InvariantViolation, DegenerateConfig, Tangent):
             continue
         draws.append((draw, factors))
-    monkeypatch.setattr(polyceva.ceva.sides_hit, "__code__", (
-        lambda i, s, t, n: [(i + s + d) % n + 1 for d in range(t)]).__code__)
+    monkeypatch.setattr(side_factors, "__code__",
+                        _kernel_walking_one_side_late().__code__)
     for draw, factors in draws:
         assert _outcome(oracle, *draw) == factors
         assert _outcome(lambda: config(*draw).factors) != factors
     assert len(draws) > 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32))
+def test_kernel_walks_the_sides_sides_hit_lists(n, seed):
+    """For every split of an n-gon, vertex i's run of factors crosses
+    exactly the sides sides_hit(i, s, t, n) lists, in that order."""
+    rng = random.Random(seed)
+
+    def point():
+        return Point.from_parts(rng.randint(-10**6, 10**6), 1,
+                                rng.randint(-10**6, 10**6), 1)
+
+    vertices = tuple(point() for _ in range(n))
+    pivot = point()
+    for s in range(1, (n - 1) // 2 + 1):
+        t = n - 2 * s
+        try:
+            cfg = CevaConfig(vertices, pivot, s, t)
+        except (InvariantViolation, DegenerateConfig):
+            continue
+        for i in range(1, n + 1):
+            run = cfg.factors[(i - 1) * t:i * t]
+            assert [f.i for f in run] == [i] * t
+            assert [f.j for f in run] == sides_hit(i, s, t, n)
+
+
+SQUARE = [(0, 0, 1), (4, 0, 1), (4, 4, 1), (0, 4, 1)]
+
+
+@pytest.mark.parametrize("i, s, t", [
+    (1, 2, 0),   # no side to walk
+    (1, -1, 6),  # 2s + t = n with a negative s
+    (1, 1, 1),   # 2s + t != n
+    (0, 1, 2),
+    (5, 1, 2),
+])
+def test_kernel_rejects_calls_outside_its_domain(i, s, t):
+    with pytest.raises(ValueError):
+        side_factors(SQUARE, i, (1, 2, 1), s, t)
 
 
 def _big_ceva_draw(rng, degenerate):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import polyceva
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +55,8 @@ def modules_after(statement: str) -> set[str]:
 def test_cli_import_loads_only_what_verify_needs():
     loaded = modules_after("import polyceva.cli")
     assert "polyceva.configio" in loaded
-    for name in ("polyceva.fuzz", "polyceva.svgout", "dataclasses", "inspect"):
+    for name in ("polyceva.fuzz", "polyceva.svgout", "dataclasses", "inspect",
+                 "argparse"):
         assert name not in loaded
 
 
@@ -91,6 +94,8 @@ def test_cli_import_builds_no_parser():
 
 
 def test_parser_built_once_per_process():
+    """Calls the matcher decodes build no parser; the first call it
+    leaves to argparse builds the one the process keeps."""
     out = _run("import contextlib, io\n"
                "import polyceva.cli as cli\n"
                "calls = []\n"
@@ -100,5 +105,46 @@ def test_parser_built_once_per_process():
                "    codes = [cli.main(['verify', 'configs/triangle_centroid.json']),\n"
                "             cli.main(['--pretty', 'verify', 'configs/square_pivot.json']),\n"
                "             cli.main(['fuzz', '--trials', '0'])]\n"
-               "print(codes, len(calls))\n")
-    assert out == "[0, 0, 0] 1\n"
+               "    built = len(calls)\n"
+               "    codes += [cli.main(['fuzz', '--trials=0']),\n"
+               "              cli.main(['fuzz', '--tri', '0'])]\n"
+               "print(codes, built, len(calls))\n")
+    assert out == "[0, 0, 0, 0, 0] 0 1\n"
+
+
+def _cli_loads_argparse(argv: list[str]) -> str:
+    """Exit code of ``cli.main()`` on argv given as sys.argv, and
+    whether argparse was loaded by the end, in a fresh interpreter."""
+    return _run("import contextlib, io, sys\n"
+                "import polyceva.cli as cli\n"
+                f"sys.argv = ['polyceva', *{argv!r}]\n"
+                "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                "        contextlib.redirect_stderr(io.StringIO()):\n"
+                "    try:\n"
+                "        code = cli.main()\n"
+                "    except SystemExit as exc:\n"
+                "        code = exc.code\n"
+                "print(code, 'argparse' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "configs/triangle_centroid.json"],
+    ["--pretty", "verify", "configs/square_pivot.json"],
+    ["counterexample", "configs/pentagon_counterexample.json"],
+    ["fuzz", "--trials", "3", "--kind", "inscribed"],
+    ["svg", "configs/triangle_centroid.json", "--out", "{out}"],
+], ids=["verify", "pretty", "counterexample", "fuzz", "svg"])
+def test_successful_call_never_imports_argparse(argv, tmp_path):
+    argv = [a.format(out=tmp_path / "fig.svg") for a in argv]
+    assert _cli_loads_argparse(argv) == "0 False\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0),
+    (["verify", "-h"], 0),
+    (["fuzz", "--kind", "nope"], 2),
+    (["verify", "--json", "--pretty", "configs/triangle_centroid.json"], 2),
+    (["fuzz", "--trials=0"], 0),
+])
+def test_other_calls_fall_back_on_argparse(argv, code):
+    assert _cli_loads_argparse(argv) == f"{code} True\n"
