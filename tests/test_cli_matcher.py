@@ -31,14 +31,43 @@ JUNK = ["x.json", "o.svg", "5", "0", "-5", "1_0", " 7", "", "-", "--", "-h",
         "--help", "--tri", "--trials=5", "--out=o.svg", "--bogus", "ceva",
         "inscribed", "concurrent", "nope", "2.5"]
 TOKEN = st.sampled_from([*COMMANDS, *GLOBAL_FLAGS, *FLAGS, *JUNK])
-ARGV = st.one_of(
-    st.lists(TOKEN, max_size=8),
-    st.builds(lambda front, command, rest: [*front, command, *rest],
-              st.lists(st.sampled_from(GLOBAL_FLAGS), max_size=2),
-              st.sampled_from(COMMANDS), st.lists(TOKEN, max_size=7)))
 
 
-@settings(max_examples=600, deadline=None)
+def _value(kind, choices):
+    """A value for a flag of type kind: mostly valid, sometimes not."""
+    if choices is not None:
+        return st.sampled_from([*choices, "nope"])
+    if kind is int:
+        return st.sampled_from(["5", "0", "1_0", " 7", "-5", "2.5"])
+    return st.sampled_from(["o.svg", "", "-", "-x", "x.json"])
+
+
+def _command_argv(command: str):
+    """argv for one subcommand: global switches, the subcommand, then in
+    any order about as many positionals as it takes, some of its flags
+    with values, and sometimes any token, so that many draws are argv
+    the matcher decodes."""
+    _, positionals, flags, _ = cli._COMMANDS[command]
+    flag = st.one_of(*(st.just((option,)) if kind is None else
+                       _value(kind, choices).map(lambda v, o=option: (o, v))
+                       for option, (_, kind, _, choices, _, _) in flags.items()))
+    pieces = st.builds(
+        lambda args, options, extra: [*args, *options, *extra],
+        st.lists(st.just(("x.json",)), min_size=max(0, len(positionals) - 1),
+                 max_size=len(positionals) + 1),
+        st.lists(flag, max_size=4),
+        st.lists(st.tuples(TOKEN), max_size=1))
+    return st.builds(lambda front, rest: [*front, command,
+                                          *(t for p in rest for t in p)],
+                     st.lists(st.sampled_from(GLOBAL_FLAGS), max_size=2),
+                     pieces.flatmap(st.permutations))
+
+
+ARGV = st.one_of(st.lists(TOKEN, max_size=8),
+                 st.sampled_from(COMMANDS).flatmap(_command_argv))
+
+
+@settings(max_examples=1000, deadline=None)
 @given(ARGV)
 def test_matcher_agrees_with_argparse_or_defers(argv):
     matched = cli._match(argv)
