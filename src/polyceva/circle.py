@@ -9,30 +9,32 @@ a bijection from the rationals onto the rational circle points minus
 (-r, 0).  The engine works on the parameter p/q as the integer pair
 [p : q], where [1 : 0] is (-r, 0): vertices, second circle points and
 chord ratios are integer expressions in these pairs, and Points are
-built only for output.  Through each vertex A_i runs a line d_i; it crosses the t
-side-lines A_j A_{j+1}, j = i+s .. i+s+t-1 (with 2s + t = n), and meets
-the circle again at a second point M'_i.  The identity verified here:
-the squared product of the signed side ratios at the crossings equals
-the product over i of the squared chord ratios |M'_i A_{i+s}|^2 /
-|M'_i A_{i+s+t}|^2.  Squares are used because the chord "ratio" relates
-non-collinear segments, where only the magnitude is well-defined; when
-all d_i pass through one common point the sign is pinned down by the
-plain cevian product and equals (-1)^n.
+built only for output.  A config and its report hold every rational as
+a reduced pair and decide on integers; their Fraction fields are views
+built on each read.  Through each vertex A_i runs a line d_i; it
+crosses the t side-lines A_j A_{j+1}, j = i+s .. i+s+t-1 (with
+2s + t = n), and meets the circle again at a second point M'_i.  The
+identity verified here: the squared product of the signed side ratios
+at the crossings equals the product over i of the squared chord ratios
+|M'_i A_{i+s}|^2 / |M'_i A_{i+s+t}|^2.  Squares are used because the
+chord "ratio" relates non-collinear segments, where only the magnitude
+is well-defined; when all d_i pass through one common point the sign is
+pinned down by the plain cevian product and equals (-1)^n.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DegenerateConfig, InvariantViolation, Tangent
-from .frozen import Frozen
+from .frozen import Frozen, rational_text, to_decimal
 from .geometry import (
     Homogeneous,
     Point,
     RationalLike,
     as_rational,
-    format_rational,
     homogeneous,
     line_through,
 )
@@ -45,13 +47,33 @@ from .ceva import (
 )
 
 # A circle parameter p/q as the integer pair [p : q]; any nonzero
-# multiple names the same point.
+# multiple names the same point.  A rational num/den is held as the
+# reduced pair (num, den), den > 0.
 Pair = tuple[int, int]
 
 
-def _pair_point(pair: Pair, r: Fraction) -> Point:
-    """The circle point of parameter pair [p : q]; [1 : 0] is (-r, 0)."""
-    x, y, w = _pair_triple(pair, r.numerator, r.denominator)
+def _reduced(value: RationalLike | Pair) -> Pair:
+    """The reduced pair of an integer pair (num, den), by one gcd, or of a
+    RationalLike.  Raises ValueError for a pair whose den is not positive."""
+    if not isinstance(value, tuple):
+        value = as_rational(value)
+        return value.numerator, value.denominator
+    num, den = value
+    if den <= 0:
+        raise ValueError(
+            f"rational denominators must be positive, got {to_decimal(den)}")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _view(k: int) -> property:
+    """A property that builds the Fraction of the pair ``parts[k]``."""
+    return property(lambda self: Fraction(*self.parts[k]))
+
+
+def _pair_point(pair: Pair, radius: Pair) -> Point:
+    """The circle point [p : q] on radius pair (a, b); [1 : 0] is (-a/b, 0)."""
+    x, y, w = _pair_triple(pair, *radius)
     return Point.from_parts(x, w, y, w)
 
 
@@ -63,8 +85,9 @@ def _pair_triple(pair: Pair, a: int, b: int) -> Homogeneous:
 
 
 # What fixes d_i beyond A_i: a Point it passes through, or the
-# parameter of its second circle point M'_i.
+# parameter of its second circle point M'_i, given as any of _PARAMETERS.
 LineSpec = Union[Point, Fraction]
+_PARAMETERS = (tuple, str, int, Fraction)
 
 
 class InscribedConfig(Frozen):
@@ -73,60 +96,61 @@ class InscribedConfig(Frozen):
     params must be strictly increasing, which orders the vertices by
     angle along the circle (the parameter is monotone in the half-angle
     tangent).  Each line spec is a Point off A_i that d_i passes through,
-    or the parameter of M'_i: a Fraction, or an int or "p/q" string,
-    stored as a Fraction.  Construction validates structure and general
+    or the parameter of M'_i.  Each rational (radius, parameter or spec
+    parameter) may be an integer pair (num, den), den > 0, a Fraction, an
+    int or a "p/q" string.  Construction validates structure and general
     position: every required side crossing exists away from the side's
     endpoints, no d_i is tangent, and no second circle point M'_i lands
     on a vertex used by the chord ratios.
 
     The check runs in integer circle parameters: a parameter p/q is the
-    pair [p : q], the pair [1 : 0] being (-r, 0).  Construction keeps
-    the vertex pairs ``param_pairs``, the pairs ``m_prime_pairs`` of the
-    M'_i, the n*t side ratios ``factors`` and ``common_point``, which
-    repr, == and hash leave out: vertex i's t ratios, in sides_hit
-    order, are factors[(i-1)*t : i*t], and ``common_point`` is the one
-    Point every d_i is specified through, or None.  ``vertices`` and
-    ``m_primes`` are Points built from those on each access; d_i is the
-    line through A_i and M'_i, which differ once construction has passed.
+    pair [p : q], the pair [1 : 0] being (-r, 0).  ``parts`` holds the
+    reduced pairs of the radius, the params and the line specs' params;
+    ``radius``, ``params`` and ``line_specs`` are Fraction views of it.
+    Construction also keeps the vertex pairs ``param_pairs``, the pairs
+    ``m_prime_pairs`` of the M'_i, the n*t side ratios ``factors`` and
+    ``common_point``, which repr, == and hash leave out: vertex i's t
+    ratios, in sides_hit order, are factors[(i-1)*t : i*t], and
+    ``common_point`` is the one Point every d_i is specified through, or
+    None.  ``vertices`` and ``m_primes`` are Points built from the pairs
+    on each access; d_i is the line through A_i and M'_i, which differ
+    once construction has passed.
     """
 
     _fields = ("radius", "params", "line_specs", "s", "t")
-    radius: Fraction
-    params: tuple[Fraction, ...]
-    line_specs: tuple[LineSpec, ...]
     s: int
     t: int
+    parts: tuple[Pair, tuple[Pair, ...], tuple[Point | Pair, ...]]
     param_pairs: tuple[Pair, ...]
     m_prime_pairs: tuple[Pair, ...]
     factors: tuple[Factor, ...]
     common_point: Point | None
 
-    def __init__(self, radius: RationalLike, params: Sequence[RationalLike],
-                 line_specs: Sequence[Point | RationalLike], s: int, t: int):
-        radius = as_rational(radius)
-        params = tuple(as_rational(u) for u in params)
-        line_specs = tuple(as_rational(spec) if isinstance(spec, (int, str))
-                           else spec for spec in line_specs)
-        a, b = radius.numerator, radius.denominator
+    def __init__(self, radius: RationalLike | Pair,
+                 params: Sequence[RationalLike | Pair],
+                 line_specs: Sequence[Point | RationalLike | Pair], s: int, t: int):
+        a, b = _reduced(radius)
+        pairs = tuple(map(_reduced, params))
+        specs = tuple(_reduced(spec) if isinstance(spec, _PARAMETERS)
+                      else spec for spec in line_specs)
         if a <= 0:
             raise InvariantViolation(
-                f"radius must be positive, got {format_rational(radius)}")
-        n = len(params)
+                f"radius must be positive, got {rational_text(a, b)}")
+        n = len(pairs)
         validate_split(n, s, t)
-        pairs = tuple((u.numerator, u.denominator) for u in params)
         # p/q < p'/q' cross-multiplied: denominators are positive.
         if any(p * q_next >= p_next * q
                for (p, q), (p_next, q_next) in zip(pairs, pairs[1:])):
             raise InvariantViolation("circle parameters must be strictly increasing")
-        if len(line_specs) != n:
+        if len(specs) != n:
             raise InvariantViolation(
-                f"need one line spec per vertex, got {len(line_specs)}")
+                f"need one line spec per vertex, got {len(specs)}")
         vertices = [_pair_triple(pair, a, b) for pair in pairs]
         # Each d_i as its second point P_i, homogeneous, and the pair of
         # its second circle point M'_i.
         vertex_pairs = set(pairs)
         lines = []
-        for i, spec in enumerate(line_specs, start=1):
+        for i, spec in enumerate(specs, start=1):
             if isinstance(spec, Point):
                 x_p, y_p, w_p = homogeneous(spec)
                 x_a, y_a, w_a = vertices[i - 1]
@@ -142,18 +166,14 @@ class InscribedConfig(Frozen):
                 p, q = pairs[i - 1]
                 lines.append(((x_p, y_p, w_p),
                               (-(dx * q + dy * p), dy * q - dx * p)))
-            elif isinstance(spec, Fraction):
-                pair = (spec.numerator, spec.denominator)
-                if pair in vertex_pairs:
+            elif isinstance(spec, tuple):
+                if spec in vertex_pairs:
                     raise InvariantViolation(
-                        f"line {i}: second parameter {format_rational(spec)} "
+                        f"line {i}: second parameter {rational_text(*spec)} "
                         "is a vertex parameter")
-                lines.append((_pair_triple(pair, a, b), pair))
+                lines.append((_pair_triple(spec, a, b), spec))
             else:
                 raise InvariantViolation(f"line {i}: unknown spec {spec!r}")
-        Frozen.__init__(self, radius, params, line_specs, s, t)
-        d = self.__dict__
-        d["param_pairs"] = pairs
         # Each vertex in full before the next: its tangency, then its
         # M'_i against the chord-ratio vertices, then its side factors.
         factors = []
@@ -161,8 +181,8 @@ class InscribedConfig(Frozen):
             p_a, q_a = pairs[i]
             if p * q_a == p_a * q:
                 # M'_i = A_i: the line only touches the circle there.
-                a_i = _pair_point(pairs[i], radius)
-                raise Tangent(f"line {line_through(a_i, line_specs[i])} "
+                a_i = _pair_point(pairs[i], (a, b))
+                raise Tangent(f"line {line_through(a_i, specs[i])} "
                               f"is tangent at {a_i}")
             # Chord ratios divide by |M' A_{i+s+1}| and |M' A_{i+s+t}|, and
             # the numerator vertex A_{i+s} must be avoided as well.
@@ -173,26 +193,41 @@ class InscribedConfig(Frozen):
                                            k % n + 1,
                                            "second circle point is a vertex")
             factors += side_factors(vertices, i + 1, point, s, t)
-        d["factors"] = tuple(factors)
-        d["m_prime_pairs"] = tuple(pair for _, pair in lines)
         # Each spec's stored triple is compared with the first one's, so
         # no Point is hashed and no Fraction built.
-        first = line_specs[0]
-        d["common_point"] = (first if isinstance(first, Point) and all(
-            isinstance(spec, Point) and homogeneous(spec) == homogeneous(first)
-            for spec in line_specs[1:]) else None)
+        first = specs[0]
+        self.__dict__.update(
+            s=s, t=t, parts=((a, b), pairs, specs), param_pairs=pairs,
+            m_prime_pairs=tuple(pair for _, pair in lines),
+            factors=tuple(factors),
+            common_point=first if isinstance(first, Point) and all(
+                isinstance(spec, Point) and homogeneous(spec) == homogeneous(first)
+                for spec in specs[1:]) else None)
+
+    radius = _view(0)
+
+    @property
+    def params(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, q) for p, q in self.parts[1])
+
+    @property
+    def line_specs(self) -> tuple[LineSpec, ...]:
+        return tuple(spec if isinstance(spec, Point) else Fraction(*spec)
+                     for spec in self.parts[2])
 
     @property
     def n(self) -> int:
-        return len(self.params)
+        return len(self.param_pairs)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return tuple(_pair_point(pair, self.radius) for pair in self.param_pairs)
+        return tuple(_pair_point(pair, self.parts[0])
+                     for pair in self.param_pairs)
 
     @property
     def m_primes(self) -> tuple[Point, ...]:
-        return tuple(_pair_point(pair, self.radius) for pair in self.m_prime_pairs)
+        return tuple(_pair_point(pair, self.parts[0])
+                     for pair in self.m_prime_pairs)
 
 
 def inscribed_chord_product_squared(cfg: InscribedConfig) -> Fraction:
@@ -215,7 +250,9 @@ def _chord_ratio_product(cfg: InscribedConfig, apexes) -> Fraction:
         near, far = _chord_ratio(apex, pairs[(i + s) % n], pairs[(i + st) % n])
         num *= near
         den *= far
-    return Fraction(num, den)
+    # The chord telescoping, and a concurrent config's chord product, are
+    # 1 on every valid config, so the shared Fraction(1) serves.
+    return PARITY_SIGNS[0] if num == den else Fraction(num, den)
 
 
 def _chord_ratio(apex: Pair, near: Pair, far: Pair) -> tuple[int, int]:
@@ -275,16 +312,27 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
 class InscribedReport(Frozen):
     """Both sides of the squared identity for ``config`` plus the raw
     signed product ``lhs``, and ``expected``, the value that pins lhs, or
-    None if none.  ``factors`` are the config's."""
+    None if none.  ``factors`` are the config's.  lhs, lhs_squared and
+    rhs_squared, each given as a Fraction or an integer pair, are kept
+    as ``parts``, their three reduced pairs, and read as Fraction views."""
 
     _fields = ("config", "lhs", "lhs_squared", "rhs_squared", "holds",
                "expected")
     config: InscribedConfig
-    lhs: Fraction
-    lhs_squared: Fraction
-    rhs_squared: Fraction
+    parts: tuple[Pair, Pair, Pair]
     holds: bool
     expected: Fraction | None
+
+    def __init__(self, config: InscribedConfig, lhs: Fraction | Pair,
+                 lhs_squared: Fraction | Pair, rhs_squared: Fraction | Pair,
+                 holds: bool, expected: Fraction | None):
+        self.__dict__.update(config=config, parts=(
+            _reduced(lhs), _reduced(lhs_squared), _reduced(rhs_squared)),
+            holds=holds, expected=expected)
+
+    lhs = _view(0)
+    lhs_squared = _view(1)
+    rhs_squared = _view(2)
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -310,12 +358,14 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
 
 def _identity_report(cfg: InscribedConfig,
                      expected: Fraction | None) -> InscribedReport:
-    """The report on cfg, lhs pinned to ``expected`` unless it is None."""
-    lhs = Fraction(*factor_product(cfg.factors))
-    lhs_squared = lhs * lhs
+    """The report on cfg, lhs pinned to ``expected`` unless it is None,
+    decided by cross-multiplying integer pairs."""
+    num, den = factor_product(cfg.factors)
     rhs_squared = inscribed_chord_product_squared(cfg)
-    holds = lhs_squared == rhs_squared
+    c, d = rhs_squared.numerator, rhs_squared.denominator
+    holds = num * num * d == c * den * den
     if expected is not None:
-        holds = holds and lhs == expected and rhs_squared == 1
-    return InscribedReport(cfg, lhs, lhs_squared, rhs_squared, holds, expected)
-
+        holds = (holds and c == d
+                 and num * expected.denominator == expected.numerator * den)
+    return InscribedReport(cfg, (num, den), (num * num, den * den),
+                           rhs_squared, holds, expected)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Union
 
 from .ceva import MAX_VERTICES, CevaConfig, Counterexample, Factor, ProductReport
@@ -103,13 +102,16 @@ def _label(key: str, index: int | None) -> str:
     return key if index is None else f"{key}[{index}]"
 
 
-def _rational(value, key: str, index: int | None = None) -> Fraction:
-    """The rational string ``value`` of field ``key``, or of its entry
-    ``index``; the label is built only for an error."""
+def _rational(value, key: str, index: int | None = None) -> tuple[int, int]:
+    """The reduced integer pair of the rational string ``value`` of field
+    ``key``, or of its entry ``index``; the label is built only for an
+    error."""
     try:
-        return Fraction(*parse_parts(value))
+        num, den = parse_parts(value)
     except InvalidRational:
-        return Fraction(*_parts(value, _label(key, index)))
+        num, den = _parts(value, _label(key, index))
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _point(value, key: str, index: int | None = None) -> Point:
@@ -223,10 +225,10 @@ def parse_config(data: Union[bytes, str]) -> ParsedConfig:
         # a(q^2 - p^2), 2apq and b(q^2 + p^2).  A through-point's own
         # parts, up to twice its bits at a common denominator, enter the
         # second circle point of its line and so the chord products.
-        circle_bits = _bits((radius.numerator, radius.denominator)) + 2 * _bits(
+        circle_bits = _bits(radius) + 2 * _bits(
             c for u in (*params, *(spec for spec in specs
                                    if not isinstance(spec, Point)))
-            for c in (u.numerator, u.denominator))
+            for c in u)
         through_bits = _bits(c for spec in specs if isinstance(spec, Point)
                              for c in spec.parts)
         _check_work(len(params), t, max(circle_bits, through_bits),
@@ -267,17 +269,15 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
             "t": cfg.t,
         }
     if isinstance(cfg, InscribedConfig):
-        lines = []
-        for spec in cfg.line_specs:
-            if isinstance(spec, Point):
-                lines.append({"through": point_to_json(spec)})
-            else:
-                lines.append({"second_param": format_rational(spec)})
+        radius, params, specs = cfg.parts
         return {
             "kind": "inscribed",
-            "radius": format_rational(cfg.radius),
-            "params": [format_rational(u) for u in cfg.params],
-            "lines": lines,
+            "radius": rational_text(*radius),
+            "params": [rational_text(*u) for u in params],
+            "lines": [{"through": point_to_json(spec)}
+                      if isinstance(spec, Point)
+                      else {"second_param": rational_text(*spec)}
+                      for spec in specs],
             "s": cfg.s,
             "t": cfg.t,
         }
@@ -313,19 +313,20 @@ def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
 
 def inscribed_run_report(report: InscribedReport) -> dict:
     cfg = report.config
+    lhs, lhs_squared, rhs_squared = report.parts
     return {
         "kind": "inscribed",
         "n": cfg.n,
         "s": cfg.s,
         "t": cfg.t,
         "factors": report.factors,
-        "product": format_rational(report.lhs),
+        "product": rational_text(*lhs),
         "expected": (None if report.expected is None
                      else format_rational(report.expected)),
         "holds": report.holds,
         "diagnostics": {
-            "lhs_squared": format_rational(report.lhs_squared),
-            "rhs_squared": format_rational(report.rhs_squared),
+            "lhs_squared": rational_text(*lhs_squared),
+            "rhs_squared": rational_text(*rhs_squared),
             "second_circle_points": [point_to_json(p) for p in cfg.m_primes],
         },
     }

@@ -8,11 +8,14 @@ them as they are.  A subclass that checks or converts its arguments
 writes its own ``__init__``, which calls ``Frozen.__init__`` once with
 the checked values; results it stores beyond its fields (computed once,
 at construction) it then sets in ``self.__dict__`` itself.  Only
-``Point`` and ``Factor`` set their attributes in ``self.__dict__`` by
-hand, and store integers in place of their Fraction fields: ``Point``
-its reduced integer parts and its homogeneous triple, ``Factor`` its
-value as the pair ``num``/``den``.  Each reads its Fraction fields
-through properties, which build the Fraction on each read.  ``repr``,
+``Point``, ``Factor``, ``InscribedConfig`` and ``InscribedReport`` set
+their attributes in ``self.__dict__`` by hand, and store integers in
+place of their Fraction fields: ``Point`` its reduced integer parts and
+its homogeneous triple, ``Factor`` its value as the pair ``num``/``den``,
+``InscribedConfig`` its radius, parameters and second parameters, and
+``InscribedReport`` its three values, as reduced pairs in ``parts``.
+Each reads its Fraction fields through properties, which build the
+Fraction on each read.  ``repr``,
 ``==`` and ``hash`` use exactly the fields, so stored results are left
 out of all three.
 After construction, assigning or deleting any attribute raises

@@ -15,9 +15,9 @@ and builds the FuzzReport once, after the last trial.
 from __future__ import annotations
 
 import copy
+import math
 import random
 import time
-from fractions import Fraction
 
 from .ceva import MAX_VERTICES, CevaConfig, ceva_product
 from .circle import (
@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     Tangent,
 )
-from .frozen import Frozen
+from .frozen import Frozen, rational_text
 from .geometry import MAX_DIGITS, Point, format_rational
 
 
@@ -127,16 +127,28 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _rand_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def _rand_pair(rng: random.Random, bound: int) -> tuple[int, int]:
+    """A rational drawn as numerator, then denominator, as its reduced
+    integer pair."""
+    num = rng.randint(-bound, bound)
+    den = rng.randint(1, bound)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _rand_point(rng: random.Random, bound: int) -> Point:
     """A point whose parts are drawn as x num, x den, y num, y den, the
-    order `_rand_rational` draws two coordinates in."""
+    order `_rand_pair` draws two coordinates in."""
     randint = rng.randint
     return Point.from_parts(randint(-bound, bound), randint(1, bound),
                             randint(-bound, bound), randint(1, bound))
+
+
+def _ascending(pairs) -> list[tuple[int, int]]:
+    """Distinct reduced pairs (p, q), q > 0, in increasing order of p/q:
+    by the integer p * (L // q), L being the lcm of the denominators."""
+    lcm = math.lcm(*(q for _, q in pairs))
+    return sorted(pairs, key=lambda pair: pair[0] * (lcm // pair[1]))
 
 
 def _draw_shape(rng: random.Random, params: GenParams) -> tuple[int, int, int]:
@@ -158,32 +170,29 @@ def _build_inscribed(rng: random.Random, params: GenParams,
                      concurrent: bool) -> InscribedConfig:
     bound = params.coordinate_bound
     n, s, t = _draw_shape(rng, params)
-    radius = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-    # Parameters keyed by their (numerator, denominator) pairs, which
-    # hash far faster than the Fractions.
-    values: dict[tuple[int, int], Fraction] = {}
+    radius = (rng.randint(1, bound), rng.randint(1, bound))
+    # Parameters and second parameters as reduced integer pairs, so equal
+    # values are equal pairs.
+    pairs: set[tuple[int, int]] = set()
     for _ in range(64 * n):
-        u = _rand_rational(rng, bound)
-        values[u.numerator, u.denominator] = u
-        if len(values) == n:
+        pairs.add(_rand_pair(rng, bound))
+        if len(pairs) == n:
             break
     else:
         raise InvariantViolation(f"no {n} distinct parameters drawn")
-    us = tuple(sorted(values.values()))
     if concurrent:
-        specs: tuple = (_rand_point(rng, bound),) * n
+        specs: list = [_rand_point(rng, bound)] * n
     else:
-        drawn: list[Fraction] = []
+        specs = []
         for _ in range(n):
             for _ in range(64):
-                v = _rand_rational(rng, bound)
-                if (v.numerator, v.denominator) not in values:
-                    drawn.append(v)
+                v = _rand_pair(rng, bound)
+                if v not in pairs:
+                    specs.append(v)
                     break
-        if len(drawn) < n:
+        if len(specs) < n:
             raise InvariantViolation("no second parameters off the vertices")
-        specs = tuple(drawn)
-    return InscribedConfig(radius, us, specs, s, t)
+    return InscribedConfig(radius, _ascending(pairs), specs, s, t)
 
 
 def _draw(build, params: GenParams, trial: int, *args):
@@ -233,20 +242,22 @@ def _inscribed_checks(cfg: InscribedConfig):
         result = concurrent_secants_check(cfg)
     else:
         result = inscribed_identity_report(cfg)
-    if result.lhs_squared != result.rhs_squared:
-        yield ("squared_identity", format_rational(result.rhs_squared),
-               format_rational(result.lhs_squared))
+    # The report's values are compared and written as their reduced pairs.
+    lhs, lhs_squared, rhs_squared = result.parts
+    if lhs_squared != rhs_squared:
+        yield ("squared_identity", rational_text(*rhs_squared),
+               rational_text(*lhs_squared))
     telescoped = chord_telescoping_squared(cfg)
     if telescoped != 1:
         yield "chord_telescoping", "1", format_rational(telescoped)
     for i in range(1, cfg.n + 1):
         if not similar_triangles_relation(cfg, i):
             yield f"similar_triangles[{i}]", "equal", "unequal"
-    if concurrent and (result.lhs != result.expected
-                       or result.rhs_squared != 1):
-        yield ("concurrent_sign", f"{format_rational(result.expected)} and 1",
-               f"{format_rational(result.lhs)} and "
-               f"{format_rational(result.rhs_squared)}")
+    expected = result.expected
+    if concurrent and (rhs_squared != (1, 1) or lhs != (
+            expected.numerator, expected.denominator)):
+        yield ("concurrent_sign", f"{format_rational(expected)} and 1",
+               f"{rational_text(*lhs)} and {rational_text(*rhs_squared)}")
 
 
 def _fuzz(kind: str, params: GenParams, trials: int, build, checks,

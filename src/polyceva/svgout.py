@@ -139,15 +139,16 @@ def _meet(a: Homogeneous, b: Homogeneous, f: Factor) -> tuple[float, float]:
 def _figure(corners, lines, dots, radius=None) -> str:
     """One standalone SVG document.
 
-    Draws the circle of ``radius`` about the origin when given, each of
-    ``lines``, (a, b, c) float triples, clipped to the view, the edges
-    of the polygon with float ``corners`` and then ``dots``, (float
-    point, style, label) triples, in the order given.  The dots and the
-    circle's bounding square set the layout.
+    Draws the circle of ``radius``, an integer pair (num, den), about the
+    origin when given, each of ``lines``, (a, b, c) float triples,
+    clipped to the view, the edges of the polygon with float ``corners``
+    and then ``dots``, (float point, style, label) triples, in the order
+    given.  The dots and the circle's bounding square set the layout.
     """
     box = [xy for xy, _, _ in dots]
     if radius is not None:
-        r = _float(radius)
+        num, den = radius
+        r = num / den
         box += [(-r, -r), (r, r)]
     layout = _Layout(box)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -204,7 +205,7 @@ def render_inscribed_svg(cfg: InscribedConfig) -> str:
                              for v, m in zip(triples, m_primes)],
                    [*_meets(cfg, triples),
                     *_dots(map(_xy, m_primes), "meet", "M&#8242;"),
-                    *_dots(corners, "vertex", "A")], cfg.radius)
+                    *_dots(corners, "vertex", "A")], cfg.parts[0])
 
 
 def render_counterexample_svg(result: Counterexample) -> str:

@@ -34,7 +34,14 @@ from polyceva.geometry import (
 )
 from polyceva.circle import inscribed_identity_report
 from polyceva.configio import ReportEncoder, ceva_run_report, parse_config
-from polyceva.fuzz import GenParams, gen_ceva_config, gen_inscribed_config
+from polyceva.fuzz import (
+    GenParams,
+    _build_inscribed,
+    _draw,
+    _inscribed_checks,
+    gen_ceva_config,
+    gen_inscribed_config,
+)
 from polyceva.svgout import render_ceva_svg
 
 from _exact_oracle import (
@@ -253,6 +260,44 @@ class TestFactorPair:
             return parsing[0], drawing[0]
 
         assert counts(5) == counts(45)
+
+
+class TestInscribedPairs:
+    """The inscribed path holds its rationals as integer pairs: parsing,
+    drawing and checking build no Fraction per parameter."""
+
+    def test_no_fraction_per_parameter(self):
+        """Parsing an inscribed doc builds as many Fractions for a 45-gon
+        as for a pentagon."""
+        def count(n: int) -> int:
+            doc = json.dumps({
+                "kind": "inscribed", "radius": "3/2",
+                "params": [f"{2 * k - n}/3" for k in range(n)],
+                "lines": [{"second_param": f"{2 * k - n + 1}/5"}
+                          for k in range(n - 1)] + [{"through": ["1/7", "2/9"]}],
+                "s": (n - 1) // 2, "t": 1})
+            with _fractions_built() as parsing:
+                cfg = parse_config(doc)
+            assert cfg.n == n
+            return parsing[0]
+
+        assert count(5) == count(45)
+
+    @pytest.mark.parametrize("concurrent, checking", [(False, 1), (True, 0)])
+    def test_passing_trial(self, concurrent, checking):
+        """Drawing a passing fuzz trial builds no Fraction.  Checking it
+        builds none for a concurrent config; for any other, the one
+        Fraction is the value of inscribed_chord_product_squared, the
+        public function the report takes its right side from."""
+        params = GenParams(seed=1)
+        for trial in range(3):
+            with _fractions_built() as drawing:
+                cfg, rejected = _draw(_build_inscribed, params, trial, concurrent)
+            with _fractions_built() as checked:
+                failures = list(_inscribed_checks(cfg))
+            assert (rejected, failures) == (0, [])
+            assert (cfg.common_point is not None) == concurrent
+            assert (drawing[0], checked[0]) == (0, checking)
 
 
 class TestCevaProduct:

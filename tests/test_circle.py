@@ -1,15 +1,26 @@
 """Engine tests for inscribed polygons: parametrized circle points,
 second circle points, and the squared product identity."""
 
+import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from polyceva.errors import DegenerateConfig, InvariantViolation, Tangent
+import polyceva.circle
+from polyceva.ceva import PARITY_SIGNS, factor_product
+from polyceva.errors import (
+    ConfigError,
+    DegenerateConfig,
+    GeometryError,
+    InvariantViolation,
+    Tangent,
+)
 from polyceva.geometry import Point, line_through
 from polyceva.circle import (
     InscribedConfig,
+    InscribedReport,
     chord_telescoping_squared,
     concurrent_secants_check,
     inscribed_chord_product_squared,
@@ -371,3 +382,151 @@ class TestIdentityReport:
         cfg = inscribed_triangle_with_common_point()
         for a, m_prime in zip(cfg.vertices, cfg.m_primes):
             assert line_through(a, m_prime) == line_through(a, cfg.common_point)
+
+
+def _built(*args):
+    """The config of these arguments, or the class and message of the
+    exception its constructor raises."""
+    try:
+        return InscribedConfig(*args)
+    except (ConfigError, GeometryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _scaled(value: F, k: int) -> tuple[int, int]:
+    """An unreduced integer pair of ``value``."""
+    return value.numerator * k, value.denominator * k
+
+
+@st.composite
+def inscribed_args(draw):
+    """Constructor arguments as Fractions and Points, mostly valid: now
+    and then the radius is not positive, the parameters do not increase,
+    a second parameter is a vertex's, or the split is wrong, and random
+    lines are sometimes tangent or parallel to a side."""
+    n = draw(st.integers(3, 7))
+    s = draw(st.integers(1, (n - 1) // 2))
+    t = draw(st.sampled_from([n - 2 * s, n - 2 * s, n - 2 * s, n - s]))
+    radius = draw(st.sampled_from([F(1), F(5, 3), F(1, 7), F(2), F(7, 2),
+                                   F(4, 9), F(0), F(-2)]))
+    params = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    if draw(st.integers(0, 5)):
+        params.sort()
+    point = st.builds(Point, rationals, rationals)
+    if draw(st.booleans()):
+        specs = [draw(point)] * n
+    else:
+        specs = draw(st.lists(st.one_of(rationals, point), min_size=n,
+                              max_size=n))
+        if not draw(st.integers(0, 5)):
+            specs[draw(st.integers(0, n - 1))] = draw(st.sampled_from(params))
+    return radius, params, specs, s, t
+
+
+class TestPairConstruction:
+    """Integer pairs, reduced or not, build the same config as the
+    Fractions of their values, and the report's integer verdicts agree
+    with the Fraction formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inscribed_args(), st.integers(1, 6))
+    def test_pairs_build_what_fractions_build(self, args, k):
+        radius, params, specs, s, t = args
+        by_fractions = _built(radius, params, specs, s, t)
+        by_pairs = _built(_scaled(radius, k), [_scaled(u, k) for u in params],
+                          [spec if isinstance(spec, Point) else _scaled(spec, k)
+                           for spec in specs], s, t)
+        if isinstance(by_fractions, tuple):
+            assert by_pairs == by_fractions
+            return
+        assert repr(by_pairs) == repr(by_fractions)
+        assert by_pairs == by_fractions and hash(by_pairs) == hash(by_fractions)
+        for name in ("factors", "m_prime_pairs", "common_point", "parts",
+                     "param_pairs"):
+            assert getattr(by_pairs, name) == getattr(by_fractions, name)
+        assert by_pairs.radius == radius
+        assert by_pairs.params == tuple(params)
+        assert by_pairs.line_specs == tuple(specs)
+
+    @pytest.mark.parametrize("radius, params, specs, s, t", [
+        # Tangent at A_1; parallel to a side; a through-point on A_1;
+        # M'_1 on A_2.
+        (F(1), (F(0), F(1), F(2)), (Point(1, 5), F(9), F(-5)), 1, 1),
+        (F(1), (F(-1), F(0), F(1)), (Point(1, -2), Point(1, 5), F(5)), 1, 1),
+        (F(1), (F(0), F(1), F(2)), (Point(1, 0), F(9), F(-5)), 1, 1),
+        (F(1), (F(0), F(1), F(2)), (Point(F(1, 2), F(1, 2)), F(9), F(-5)),
+         1, 1),
+    ])
+    def test_degenerate_inputs_raise_alike(self, radius, params, specs, s, t):
+        by_fractions = _built(radius, params, specs, s, t)
+        assert isinstance(by_fractions, tuple)
+        assert _built(_scaled(radius, 3), [_scaled(u, 2) for u in params],
+                      [spec if isinstance(spec, Point) else _scaled(spec, 5)
+                       for spec in specs], s, t) == by_fractions
+
+    @pytest.mark.parametrize("radius, params, specs", [
+        ((1, 0), [0, 1, 2], [7, 8, 9]),
+        ((1, -2), [0, 1, 2], [7, 8, 9]),
+        (1, [0, (1, 0), 2], [7, 8, 9]),
+        (1, [0, 1, 2], [7, (8, -1), 9]),
+    ])
+    def test_pair_denominators_must_be_positive(self, radius, params, specs):
+        with pytest.raises(ValueError,
+                           match="^rational denominators must be positive"):
+            InscribedConfig(radius, params, specs, 1, 1)
+
+    def test_report_pair_denominators_must_be_positive(self):
+        with pytest.raises(ValueError):
+            InscribedReport(pentagon_config(), (1, 0), F(1), F(1), True, None)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit before Python 3.11")
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_report_matches_fraction_formulas(self, data):
+        """At the lowest int-string limit, with 1000-digit parts, each
+        report field is the Fraction formula of the previous report."""
+        num = st.integers(-(10 ** 1000 - 1), 10 ** 1000 - 1)
+        den = st.integers(1, 10 ** 1000 - 1)
+        big = st.builds(F, num, den)
+        n = data.draw(st.integers(3, 5))
+        s = data.draw(st.integers(1, (n - 1) // 2))
+        params = sorted(set(data.draw(st.lists(big, min_size=n, max_size=n))))
+        assume(len(params) == n)
+        concurrent = data.draw(st.booleans())
+        specs = ([Point(data.draw(big), data.draw(big))] * n if concurrent
+                 else data.draw(st.lists(big, min_size=n, max_size=n)))
+        radius = abs(data.draw(big)) + 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cfg = _built(radius, params, specs, s, n - 2 * s)
+            assume(isinstance(cfg, InscribedConfig))
+            check = (concurrent_secants_check if concurrent
+                     else inscribed_identity_report)
+            expected = PARITY_SIGNS[n % 2] if concurrent else None
+            chords = polyceva.circle.inscribed_chord_product_squared
+            # The true chord product, then a falsified one.
+            for scale in (1, 4):
+                with mock.patch.object(polyceva.circle,
+                                       "inscribed_chord_product_squared",
+                                       lambda cfg: scale * chords(cfg)):
+                    report = check(cfg)
+                lhs = F(*factor_product(cfg.factors))
+                lhs_squared = lhs * lhs
+                rhs_squared = scale * chords(cfg)
+                holds = lhs_squared == rhs_squared
+                if expected is not None:
+                    holds = holds and lhs == expected and rhs_squared == 1
+                assert (report.lhs, report.lhs_squared, report.rhs_squared) == \
+                    (lhs, lhs_squared, rhs_squared)
+                assert report.parts == tuple(
+                    (v.numerator, v.denominator)
+                    for v in (lhs, lhs_squared, rhs_squared))
+                assert report.holds is holds is (scale == 1)
+                assert report.expected == expected
+                assert report == InscribedReport(cfg, lhs, lhs_squared,
+                                                 rhs_squared, holds, expected)
+                assert repr(report).count("Fraction(") >= 3
+        finally:
+            sys.set_int_max_str_digits(limit)

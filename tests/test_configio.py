@@ -375,6 +375,22 @@ class TestWorkBudget:
         assert parse_config(getattr(self, make)(self.BITS + bits)) == "built"
         assert len(built) == 1
 
+    def test_unreduced_rationals_priced_reduced(self, monkeypatch):
+        """The budget prices an inscribed rational by its reduced pair,
+        the one the config stores: a common factor of 2^300 on the
+        radius and the largest parameter adds no work."""
+        built = []
+        monkeypatch.setattr(polyceva.configio, "InscribedConfig",
+                            lambda *args: built.append(args) or "built")
+        doc = json.loads(self.inscribed_doc(self.BITS - 1))
+        k = 2 ** 300
+        doc["radius"] = f"{k}/{k}"
+        doc["params"][-1] = f"{int(doc['params'][-1]) * k}/{k}"
+        assert parse_config(json.dumps(doc)) == "built"
+        radius, params = built[0][:2]
+        assert radius == (1, 1)
+        assert params[-1] == (2 ** ((self.BITS - 1) // 2 - 1), 1)
+
     def test_message_names_estimate_and_limit(self):
         with pytest.raises(InvariantViolation) as exc:
             parse_config(self.ceva_doc(self.BITS + 1))

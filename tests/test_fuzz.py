@@ -4,6 +4,7 @@ batch verification reports."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import polyceva.circle
 import polyceva.fuzz
@@ -14,6 +15,7 @@ from polyceva.fuzz import (
     MAX_BOUND,
     FuzzReport,
     GenParams,
+    _ascending,
     fuzz_ceva,
     fuzz_inscribed,
     gen_ceva_config,
@@ -128,6 +130,18 @@ class TestGenInscribed:
             rebuilt = InscribedConfig(cfg.radius, cfg.params, cfg.line_specs,
                                       cfg.s, cfg.t)
             assert rebuilt == cfg
+
+    @given(st.sets(st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.builds(Fraction, st.integers(-10 ** 1000 + 1, 10 ** 1000 - 1),
+                  st.integers(1, 10 ** 1000 - 1))), max_size=12))
+    def test_integer_key_orders_as_fractions(self, values):
+        """The draw orders its reduced pairs by an integer key exactly as
+        sorted() orders their Fractions: negative, zero and 1000-digit
+        parts included."""
+        pairs = {(u.numerator, u.denominator) for u in values}
+        assert _ascending(pairs) == [(u.numerator, u.denominator)
+                                     for u in sorted(values)]
 
 
 def _comparable(report: FuzzReport) -> dict:
