@@ -1,9 +1,10 @@
 """polyceva: exact rational verification of cevian product identities.
 
-The kernel (`geometry`) does exact planar geometry over Fractions; the
-engines (`ceva`, `circle`) compute the polygon product identities and
-check them by exact equality; `fuzz` generates seeded random instances;
-`cli` wires everything to config files and reports.
+The kernel (`geometry`) does exact planar geometry on integers, with
+Fractions only as views; the engines (`ceva`, `circle`) compute the
+polygon product identities and check them by exact equality; `fuzz`
+generates seeded random instances; `cli` wires everything to config
+files and reports.
 
 Names load lazily (PEP 562): ``import polyceva`` imports no submodule,
 and ``polyceva.X`` imports the one module that defines X on first use.

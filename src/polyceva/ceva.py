@@ -375,7 +375,7 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         if r1 == 1:
             continue
         m1 = point_from_ratio(a1, a2, r1)
-        if m1 == a4:
+        if m1.triple == a4.triple:
             continue
         line_a4_m1 = line_through(a4, m1)
         if not line_a4_m1.contains(pivot):
@@ -385,7 +385,7 @@ def build_converse_counterexample(pentagon: Sequence[Point],
             DegenerateConfig.HITS_VERTEX, detail="both ratio branches degenerate")
 
     m2 = point_from_ratio(a2, a3, r2)
-    if m2 == a5:
+    if m2.triple == a5.triple:
         raise DegenerateConfig(
             DegenerateConfig.HITS_VERTEX,
             detail="compensating point coincides with vertex 5")

@@ -8,10 +8,11 @@ them as they are.  A subclass that checks or converts its arguments
 writes its own ``__init__``, which calls ``Frozen.__init__`` once with
 the checked values; results it stores beyond its fields (computed once,
 at construction) it then sets in ``self.__dict__`` itself.  Only
-``Point``, ``Factor``, ``InscribedConfig`` and ``InscribedReport`` set
-their attributes in ``self.__dict__`` by hand, and store integers in
-place of their Fraction fields: ``Point`` its reduced integer parts and
-its homogeneous triple, ``Factor`` its value as the pair ``num``/``den``,
+``Point``, ``Line``, ``Factor``, ``InscribedConfig`` and
+``InscribedReport`` set their attributes in ``self.__dict__`` by hand,
+and store integers in place of their Fraction fields: ``Point`` its
+reduced integer parts and its homogeneous triple, ``Line`` its
+canonical integer triple, ``Factor`` its value as the pair ``num``/``den``,
 ``InscribedConfig`` its radius, parameters and second parameters, and
 ``InscribedReport`` its three values, as reduced pairs in ``parts``.
 Each reads its Fraction fields through properties, which build the

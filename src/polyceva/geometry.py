@@ -9,10 +9,12 @@ built on each read.  The engine modules read points as those triples
 (`homogeneous`) and decide their identities by exact comparison of
 integers.  `parse_parts` is the one reader of the wire format "p/q".
 
-Lines are stored as homogeneous triples (a, b, c) for the locus
-a*x + b*y + c = 0, normalized so the first nonzero coefficient of (a, b)
-is +1.  That makes line equality, parallelism and duplicate detection
-plain field comparisons.
+A `Line` a*x + b*y + c = 0 stores its canonical integer triple (gcd 1,
+the first nonzero of (a, b) positive), and its ``a``, ``b`` and ``c``
+are Fraction views normalized to lead with 1.  Joins and meets are
+cross products of triples, and incidence, parallelism and the checks
+for coincident and duplicate lines are integer comparisons: only
+``Line.value_at``, whose value is one, builds a Fraction.
 """
 
 from __future__ import annotations
@@ -143,63 +145,95 @@ def _store(p: Point, xn: int, xd: int, yn: int, yd: int) -> None:
 
 
 class Line(Frozen):
-    """Line a*x + b*y + c = 0, canonicalized on construction.
+    """Line a*x + b*y + c = 0, held as its canonical integer triple.
 
-    The first nonzero coefficient among (a, b) is forced to +1, so two
-    Line values describe the same locus iff they are equal as tuples.
+    A Line stores, computed once when it is built, ``triple``, the
+    integer multiple (A, B, C) of (a, b, c) with gcd 1 whose first
+    nonzero of (A, B) is positive, so two Lines describe the same locus
+    iff their triples are equal.  ``a``, ``b`` and ``c`` are Fraction
+    views, (1, B/A, C/A), or (0, 1, C/B) when A = 0, built on each read,
+    so repr, == and hash, which read them, are those of the normalized
+    Fractions.  The line functions read the integers.
     """
 
     _fields = ("a", "b", "c")
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    triple: tuple[int, int, int]
 
     def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike):
         a = as_rational(a)
         b = as_rational(b)
         c = as_rational(c)
-        if a != 0:
-            b, c, a = b / a, c / a, Fraction(1)
-        elif b != 0:
-            c, b = c / b, Fraction(1)
-        else:
-            raise ValueError("degenerate line: a = b = 0")
-        Frozen.__init__(self, a, b, c)
+        _canonical(self, a.numerator * b.denominator * c.denominator,
+                   b.numerator * a.denominator * c.denominator,
+                   c.numerator * a.denominator * b.denominator)
+
+    a = property(lambda self: _view(self.triple, 0))
+    b = property(lambda self: _view(self.triple, 1))
+    c = property(lambda self: _view(self.triple, 2))
 
     def value_at(self, p: Point) -> Fraction:
         """Exact value of a*x + b*y + c at p; zero iff p lies on the line."""
-        return self.a * p.x + self.b * p.y + self.c
+        a, b, c = self.triple
+        x, y, w = p.triple
+        return Fraction(a * x + b * y + c * w, (a or b) * w)
 
     def contains(self, p: Point) -> bool:
-        return self.value_at(p) == 0
+        a, b, c = self.triple
+        x, y, w = p.triple
+        return a * x + b * y + c * w == 0
 
     def is_parallel_to(self, other: "Line") -> bool:
         """True for parallel or coincident lines (equal direction)."""
-        return self.a * other.b - other.a * self.b == 0
+        a, b, _ = self.triple
+        a2, b2, _ = other.triple
+        return a * b2 == a2 * b
+
+
+def _view(triple: tuple[int, int, int], k: int) -> Fraction:
+    """Coefficient k of a canonical line triple over its first nonzero
+    of (A, B)."""
+    return Fraction(triple[k], triple[0] or triple[1])
+
+
+def _canonical(line: Line, a: int, b: int, c: int) -> Line:
+    """Store in ``line`` the canonical form of the integer triple
+    (a, b, c): divided by gcd(a, b, c), with the sign that makes the
+    first nonzero of (a, b) positive.  Raises ValueError when a = b = 0."""
+    if not (a or b):
+        raise ValueError("degenerate line: a = b = 0")
+    g = math.gcd(a, b, c)
+    if (a or b) < 0:
+        g = -g
+    line.__dict__["triple"] = (a // g, b // g, c // g)
+    return line
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line containing two distinct points: the cross product
-    of their homogeneous triples, a positive multiple of
-    (y_p - y_q, x_q - x_p, x_p y_q - x_q y_p)."""
+    of their homogeneous triples, made canonical."""
     if p.triple == q.triple:
         raise ValueError(f"no unique line through coincident points {p}")
     x_p, y_p, w_p = p.triple
     x_q, y_q, w_q = q.triple
-    return Line(y_p * w_q - w_p * y_q, w_p * x_q - x_p * w_q,
-                x_p * y_q - y_p * x_q)
+    return _canonical(object.__new__(Line), y_p * w_q - w_p * y_q,
+                      w_p * x_q - x_p * w_q, x_p * y_q - y_p * x_q)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
-    """Exact intersection point of two non-parallel lines."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        if l1 == l2:
+    """Exact intersection point of two non-parallel lines: the cross
+    product of their triples, as a point."""
+    a1, b1, c1 = l1.triple
+    a2, b2, c2 = l2.triple
+    w = a1 * b2 - a2 * b1
+    if w == 0:
+        if l1.triple == l2.triple:
             raise ValueError(f"lines coincide: {l1}")
         raise ValueError(f"parallel lines {l1} and {l2}")
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l2.a * l1.c - l1.a * l2.c) / det
-    return Point(x, y)
+    x = b1 * c2 - b2 * c1
+    y = a2 * c1 - a1 * c2
+    if w < 0:
+        x, y, w = -x, -y, -w
+    return Point.from_parts(x, w, y, w)
 
 
 def homogeneous(p: Point) -> Homogeneous:
@@ -252,7 +286,7 @@ def are_concurrent(lines: Sequence[Line]) -> bool:
     """
     if len(lines) < 2:
         raise ValueError("concurrency needs at least two lines")
-    if len(set(lines)) != len(lines):
+    if len({line.triple for line in lines}) != len(lines):
         raise ValueError("duplicate line in concurrency test")
     first = lines[0]
     partner = next((l for l in lines[1:] if not first.is_parallel_to(l)), None)

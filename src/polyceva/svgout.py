@@ -6,19 +6,19 @@ figure.  Each float is one int true division, which rounds correctly,
 so it equals ``float()`` of the exact rational it stands for: a vertex
 or pivot coordinate is its numerator over its denominator, a crossing
 M_ij is taken from its factor's integer pair and the homogeneous
-triples of its side's endpoints, and a drawn line from the cross
-product of two triples.  No Fraction, Point or Line is built per
+triples of its side's endpoints, and a drawn line from the canonical
+integer triple of its `Line` (`line_through` of two points, or a
+counterexample's cevian).  No Fraction, Point or Line is built per
 factor.  Output is deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .ceva import CevaConfig, Counterexample, Factor
 from .circle import InscribedConfig
-from .geometry import Homogeneous, Point, homogeneous
+from .geometry import Homogeneous, Line, Point, homogeneous, line_through
 
 
 # Side of the square figure and its blank border, in SVG user units.
@@ -88,33 +88,18 @@ class _Layout:
         return hits[0], hits[-1]
 
 
-def _float(x: Fraction) -> float:
-    return x.numerator / x.denominator
-
-
 def _xy(p: Point) -> tuple[float, float]:
     xn, xd, yn, yd = p.parts
     return xn / xd, yn / yd
 
 
-def _join(p: Homogeneous, q: Homogeneous) -> tuple[float, float, float]:
-    """float() of each coefficient of `line_through` of two distinct
-    points.  The cross product (a, b, c) of their triples is a multiple
-    of that Line, which is scaled so that the first nonzero one of a, b
-    is 1; the divisor is made positive, so that a zero coefficient is
-    0.0, never -0.0."""
-    x_p, y_p, w_p = p
-    x_q, y_q, w_q = q
-    a = y_p * w_q - w_p * y_q
-    b = w_p * x_q - x_p * w_q
-    c = x_p * y_q - y_p * x_q
-    if a:
-        if a < 0:
-            a, b, c = -a, -b, -c
-        return 1.0, b / a, c / a
-    if b < 0:
-        b, c = -b, -c
-    return 0.0, 1.0, c / b
+def _coefficients(line: Line) -> tuple[float, float, float]:
+    """float() of each of a line's a, b and c: its canonical triple over
+    the first nonzero of its first two, which is positive, so a zero
+    coefficient is 0.0, never -0.0."""
+    a, b, c = line.triple
+    lead = a or b
+    return a / lead, b / lead, c / lead
 
 
 def _meet(a: Homogeneous, b: Homogeneous, f: Factor) -> tuple[float, float]:
@@ -187,9 +172,9 @@ def _dots(points, style: str, label: str) -> list:
 
 def render_ceva_svg(cfg: CevaConfig) -> str:
     triples = [homogeneous(v) for v in cfg.vertices]
-    pivot = homogeneous(cfg.pivot)
     corners = [_xy(v) for v in cfg.vertices]
-    return _figure(corners, [_join(v, pivot) for v in triples],
+    return _figure(corners, [_coefficients(line_through(v, cfg.pivot))
+                             for v in cfg.vertices],
                    [*_meets(cfg, triples), *_dots(corners, "vertex", "A"),
                     (_xy(cfg.pivot), "pivot", "M")])
 
@@ -201,8 +186,8 @@ def render_inscribed_svg(cfg: InscribedConfig) -> str:
     m_primes = cfg.m_primes
     triples = [homogeneous(v) for v in vertices]
     corners = [_xy(v) for v in vertices]
-    return _figure(corners, [_join(v, homogeneous(m))
-                             for v, m in zip(triples, m_primes)],
+    return _figure(corners, [_coefficients(line_through(v, m))
+                             for v, m in zip(vertices, m_primes)],
                    [*_meets(cfg, triples),
                     *_dots(map(_xy, m_primes), "meet", "M&#8242;"),
                     *_dots(corners, "vertex", "A")], cfg.parts[0])
@@ -210,8 +195,7 @@ def render_inscribed_svg(cfg: InscribedConfig) -> str:
 
 def render_counterexample_svg(result: Counterexample) -> str:
     corners = [_xy(v) for v in result.vertices]
-    return _figure(corners, [(_float(line.a), _float(line.b), _float(line.c))
-                             for line in result.cevians],
+    return _figure(corners, list(map(_coefficients, result.cevians)),
                    [*_dots(map(_xy, result.meet_points), "meet", "M"),
                     *_dots(corners, "vertex", "A"),
                     (_xy(result.pivot), "pivot", "M")])

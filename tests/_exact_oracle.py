@@ -2,7 +2,10 @@
 library does not carry.
 
 Reference geometry over Fractions: signed areas, collinearity, squared
-distances, directed ratios and affine maps of Points.  The swap
+distances, directed ratios and affine maps of Points, and lines as
+normalized Fraction coefficients (Line, line_through, intersect_lines
+and are_concurrent), the reference for polyceva.geometry's integer
+lines, which this module does not import.  The swap
 identity of the normalized two-point line form, a step of the paper's
 proof, is checked here too (line_value_antisymmetry); the library
 computes no line form.
@@ -29,13 +32,7 @@ from fractions import Fraction
 from polyceva.ceva import CevaConfig, Factor
 from polyceva.errors import DegenerateConfig, GeometryError, Tangent
 from polyceva.frozen import Frozen
-from polyceva.geometry import (
-    Point,
-    RationalLike,
-    as_rational,
-    intersect_lines,
-    line_through,
-)
+from polyceva.geometry import Point, RationalLike, as_rational
 
 
 class NotCollinear(GeometryError):
@@ -74,6 +71,80 @@ class AffineMap(Frozen):
     @staticmethod
     def identity() -> "AffineMap":
         return AffineMap(1, 0, 0, 1, 0, 0)
+
+
+class Line(Frozen):
+    """Line a*x + b*y + c = 0 over Fractions, normalized on construction
+    so the first nonzero coefficient among (a, b) is 1: the reference
+    for polyceva.geometry.Line, which holds an integer triple, and its
+    line functions below."""
+
+    _fields = ("a", "b", "c")
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike):
+        a = as_rational(a)
+        b = as_rational(b)
+        c = as_rational(c)
+        if a != 0:
+            b, c, a = b / a, c / a, Fraction(1)
+        elif b != 0:
+            c, b = c / b, Fraction(1)
+        else:
+            raise ValueError("degenerate line: a = b = 0")
+        Frozen.__init__(self, a, b, c)
+
+    def value_at(self, p: Point) -> Fraction:
+        """Exact value of a*x + b*y + c at p; zero iff p lies on the line."""
+        return self.a * p.x + self.b * p.y + self.c
+
+    def contains(self, p: Point) -> bool:
+        return self.value_at(p) == 0
+
+    def is_parallel_to(self, other: "Line") -> bool:
+        """True for parallel or coincident lines (equal direction)."""
+        return self.a * other.b - other.a * self.b == 0
+
+
+def line_through(p: Point, q: Point) -> Line:
+    """The unique line containing two distinct points:
+    (y_p - y_q) x + (x_q - x_p) y + (x_p y_q - x_q y_p) = 0."""
+    if p == q:
+        raise ValueError(f"no unique line through coincident points {p}")
+    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+
+
+def intersect_lines(l1: Line, l2: Line) -> Point:
+    """Exact intersection point of two non-parallel lines, by Cramer's
+    rule."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        if l1 == l2:
+            raise ValueError(f"lines coincide: {l1}")
+        raise ValueError(f"parallel lines {l1} and {l2}")
+    x = (l1.b * l2.c - l2.b * l1.c) / det
+    y = (l2.a * l1.c - l1.a * l2.c) / det
+    return Point(x, y)
+
+
+def are_concurrent(lines) -> bool:
+    """True iff all lines pass through one common point.
+
+    Requires at least two pairwise-distinct lines; families containing a
+    parallel pair return False (parallelism is not a point here).
+    """
+    if len(lines) < 2:
+        raise ValueError("concurrency needs at least two lines")
+    if len(set(lines)) != len(lines):
+        raise ValueError("duplicate line in concurrency test")
+    first = lines[0]
+    partner = next((l for l in lines[1:] if not first.is_parallel_to(l)), None)
+    if partner is None:
+        return False
+    common = intersect_lines(first, partner)
+    return all(l.contains(common) for l in lines)
 
 
 def affine_apply(map_: AffineMap, p: Point) -> Point:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -55,6 +56,9 @@ from _exact_oracle import (
     normalized_line_value,
 )
 from _float_oracle import float_ceva_product
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pt(x, y) -> Point:
@@ -704,3 +708,29 @@ class TestCounterexample:
             assert result.concurrent is False
             built += 1
         assert built >= 15
+
+    def test_fractions_built_are_its_fields(self):
+        """On the reference pentagon, the builder makes only the
+        Fractions of its public fields: K, the branches' two ratio pairs,
+        the three genuine ratios (once as fields, once for their meet
+        points) and the product's two multiplications.  Its Point and
+        Line work builds none."""
+        with open(ROOT / "configs" / "pentagon_counterexample.json") as f:
+            cfg = parse_config(f.read())
+        with _fractions_built() as built:
+            result = build_converse_counterexample(cfg.vertices, cfg.pivot)
+        assert result.holds
+        assert built[0] <= 13
+
+    def test_line_functions_build_no_fraction(self):
+        pivot = pt(2, 2)
+        result = build_converse_counterexample(PENTAGON, pivot)
+        with _fractions_built() as built:
+            lines = [line_through(v, pivot) for v in PENTAGON]
+            meet = intersect_lines(lines[0], lines[1])
+            verdicts = are_concurrent(lines), are_concurrent(result.cevians)
+            on_line = [line.contains(meet) for line in result.cevians]
+            parallel = [line.is_parallel_to(lines[0]) for line in lines]
+        assert verdicts == (True, False) and meet == pivot
+        assert on_line.count(True) == 3 and parallel.count(True) == 1
+        assert built[0] == 0

@@ -1,6 +1,7 @@
 """Kernel tests: exact constructions and their invariants, with the
 oracle's reference predicates and directed ratios."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyceva.errors import InvalidRational
 from polyceva.geometry import (
@@ -26,6 +27,7 @@ from polyceva.geometry import (
     point_from_ratio,
 )
 
+import _exact_oracle as oracle
 from _exact_oracle import (
     AffineMap,
     NotCollinear,
@@ -430,3 +432,136 @@ class TestLineCanonicalForm:
 
     def test_distance_squared(self):
         assert distance_squared(pt(0, 0), pt(3, 4)) == 25
+
+
+@contextlib.contextmanager
+def _lowest_int_str_limit():
+    """Python's lowest int-string limit, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises; a Line or a
+    Point is given as its repr, so the library's and the oracle's
+    classes compare."""
+    try:
+        value = f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return repr(value) if isinstance(value, (Line, oracle.Line, Point)) else value
+
+
+# Coefficients and coordinates: small ones, so that zeros, parallels and
+# duplicates are drawn, and parts of up to 1000 digits.
+huge = st.integers(-10 ** 1000, 10 ** 1000)
+coefficients = st.one_of(st.integers(-2, 2), rationals,
+                         st.builds(F, huge, st.integers(1, 10 ** 1000)))
+wide_points = st.one_of(points, st.builds(Point, coefficients, coefficients))
+
+
+@st.composite
+def line_families(draw):
+    """Lines through one common point, lines from coefficients, lines
+    parallel to the one before and lines through two points, as
+    (library, oracle) pairs: distinct lines in any order, now and then
+    a single line or one drawn twice."""
+    common = draw(wide_points)
+    pool = []
+    for kind in draw(st.lists(st.sampled_from("pc=j"), min_size=1, max_size=6)):
+        if kind == "p":
+            args = common, draw(wide_points)
+        elif kind == "c":
+            args = tuple(draw(coefficients) for _ in range(3))
+        elif kind == "=" and pool:
+            args = pool[-1][1].a, pool[-1][1].b, draw(coefficients)
+        else:
+            args = draw(wide_points), draw(wide_points)
+        build = (Line, oracle.Line) if len(args) == 3 else (
+            line_through, oracle.line_through)
+        try:
+            pair = tuple(f(*args) for f in build)
+        except ValueError:
+            continue
+        if pair[0] not in (ours for ours, _ in pool):
+            pool.append(pair)
+    chosen = draw(st.permutations(pool))
+    if pool and draw(st.integers(0, 9)) == 0:
+        chosen.append(draw(st.sampled_from(pool)))
+    return [ours for ours, _ in chosen], [theirs for _, theirs in chosen]
+
+
+class TestIntegerLineAgainstOracle:
+    """The integer Line and its functions are the Fraction Line of the
+    oracle: equality, hash, repr, the a, b, c views, values, incidence,
+    parallelism, meets and concurrency, or the same ValueError text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficients, coefficients, coefficients, wide_points)
+    def test_line(self, a, b, c, p):
+        with _lowest_int_str_limit():
+            line = _outcome(Line, a, b, c)
+            assert line == _outcome(oracle.Line, a, b, c)
+            if isinstance(line, tuple):
+                return
+            ours, theirs = Line(a, b, c), oracle.Line(a, b, c)
+            assert hash(ours) == hash(theirs)
+            assert (ours.a, ours.b, ours.c) == (theirs.a, theirs.b, theirs.c)
+            assert ours.value_at(p) == theirs.value_at(p)
+            assert ours.contains(p) == theirs.contains(p)
+            assert math.gcd(*ours.triple) == 1 and ours.triple[:2] > (0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(line_families())
+    @example(tuple([cls(10 ** 1000 - 7, 3, -1),
+                    cls(F(1, 10 ** 1000 - 7), -10 ** 999, 5)]
+                   for cls in (Line, oracle.Line)))
+    def test_line_pairs_and_families(self, family):
+        ours, theirs = family
+        with _lowest_int_str_limit():
+            for i in range(len(ours)):
+                assert repr(ours[i]) == repr(theirs[i])
+                for j in range(len(ours)):
+                    assert (ours[i] == ours[j]) == (theirs[i] == theirs[j])
+                    assert (ours[i].is_parallel_to(ours[j])
+                            == theirs[i].is_parallel_to(theirs[j]))
+                    assert (_outcome(intersect_lines, ours[i], ours[j])
+                            == _outcome(oracle.intersect_lines, theirs[i],
+                                        theirs[j]))
+            assert (_outcome(are_concurrent, ours)
+                    == _outcome(oracle.are_concurrent, theirs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_points, wide_points)
+    def test_line_through(self, p, q):
+        with _lowest_int_str_limit():
+            assert (_outcome(line_through, p, q)
+                    == _outcome(oracle.line_through, p, q))
+
+    @pytest.mark.parametrize("ours, theirs, args", [
+        (Line, oracle.Line, (0, 0, 1)),
+        (line_through, oracle.line_through, (pt(2, 3), pt(2, 3))),
+        (intersect_lines, oracle.intersect_lines, ("x = 0", "x = 1")),
+        (intersect_lines, oracle.intersect_lines, ("x = 0", "2x = 0")),
+        (are_concurrent, oracle.are_concurrent, (["x = 0", "2x = 0"],)),
+        (are_concurrent, oracle.are_concurrent, (["x = 0"],)),
+    ], ids=["zero-line", "coincident-points", "parallel", "coincident-lines",
+            "duplicate-line", "single-line"])
+    def test_same_error_text(self, ours, theirs, args):
+        lines = {"x = 0": (1, 0, 0), "x = 1": (1, 0, -1), "2x = 0": (2, 0, 0)}
+
+        def build(arg, cls):
+            if isinstance(arg, list):
+                return [build(a, cls) for a in arg]
+            return cls(*lines[arg]) if arg in lines else arg
+
+        got = _outcome(ours, *(build(a, Line) for a in args))
+        assert got[0] == "ValueError"
+        assert got == _outcome(theirs, *(build(a, oracle.Line) for a in args))

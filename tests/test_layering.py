@@ -1,10 +1,10 @@
 """Layering rules: no polyceva module imports another module's private
 names, none uses dataclasses, only Frozen defines how a value is
 assigned, deleted, hashed or printed, every Frozen class has at least
-two fields, only svgout.py computes in floats, only the Line algebra
-reads a Point's Fraction views, every export has a caller in the
-library, every generator knob has a ``fuzz`` flag, and every name the
-perfbench tracer patches exists."""
+two fields, only svgout.py computes in floats, no code reads a Point's
+Fraction views, each Fraction the library builds has a listed reason,
+every export has a caller in the library, every generator knob has a
+``fuzz`` flag, and every name the perfbench tracer patches exists."""
 
 import ast
 import importlib
@@ -137,36 +137,45 @@ def test_float_lint_finds_each_kind():
         "4: literal 1e-09", "4: math.hypot", "4: math.pi"]
 
 
-# Functions allowed to read a Point's ``x`` or ``y``, each read of which
-# builds a Fraction: the Line algebra of the counterexample.  All other
-# code reads a Point's integer ``parts`` or its homogeneous triple.
-POINT_FRACTION_READERS = {"geometry.Line.value_at"}
-
-
-def _xy_readers(tree: ast.AST, module: str) -> set[str]:
-    """Qualified names of the functions and classes whose code reads an
-    attribute ``x`` or ``y``; ``module`` alone for module-level code."""
-    readers = set()
+def _scopes(tree: ast.AST, module: str, hit) -> set[str]:
+    """Qualified names of the functions and classes whose code holds a
+    node for which ``hit`` is true; ``module`` alone for module-level
+    code."""
+    found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        elif isinstance(node, ast.Attribute) and node.attr in ("x", "y"):
-            readers.add(scope)
+        elif hit(node):
+            found.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, module)
-    return readers
+    return found
 
 
-def test_only_the_line_algebra_reads_point_fractions():
-    readers = set()
+def _src_scopes(find) -> set[str]:
+    """``find(tree, module)`` over every module of the library."""
+    found = set()
     for path in SRC.glob("*.py"):
-        readers |= _xy_readers(ast.parse(path.read_text(), filename=str(path)),
-                               path.stem)
-    assert sorted(readers - POINT_FRACTION_READERS) == []
+        found |= find(ast.parse(path.read_text(), filename=str(path)),
+                      path.stem)
+    return found
+
+
+def _xy_readers(tree: ast.AST, module: str) -> set[str]:
+    """Scopes whose code reads an attribute ``x`` or ``y``."""
+    return _scopes(tree, module, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("x", "y")))
+
+
+def test_no_code_reads_point_fractions():
+    """Each read of a Point's ``x`` or ``y`` builds a Fraction, so the
+    library reads a Point's integer ``parts`` or its homogeneous triple
+    instead."""
+    assert sorted(_src_scopes(_xy_readers)) == []
 
 
 def test_xy_reader_lint_finds_each_scope():
@@ -178,6 +187,56 @@ def test_xy_reader_lint_finds_each_scope():
               "def g(p):\n    return p.parts, p.xy\n")
     assert _xy_readers(ast.parse(source), "mod") == {
         "mod.f", "mod.C.m.inner", "mod"}
+
+
+# Every scope of the library that calls Fraction(...), with its reason:
+# a view of stored integers, a public report field, or a public
+# constructor that takes rationals.  Everything else computes on ints.
+FRACTION_BUILDERS = {
+    "ceva": "public report field: PARITY_SIGNS, ProductReport.expected",
+    "ceva.Factor.value": "view of the pair num/den",
+    "ceva.ProductReport.from_factors": "public report field: product of "
+                                       "a failed identity",
+    "ceva.build_converse_counterexample": "public report field: K and the "
+                                          "free ratios",
+    "circle._view": "view of a pair in InscribedConfig or InscribedReport",
+    "circle.InscribedConfig.params": "view of the parameter pairs",
+    "circle.InscribedConfig.line_specs": "view of the second parameters",
+    "circle._chord_ratio_product": "public report field: the chord "
+                                   "products, InscribedReport.rhs_squared",
+    "geometry.as_rational": "public constructor: an int taken as a rational",
+    "geometry.parse_rational": "public constructor: the wire text p/q",
+    "geometry.Point.x": "view of the parts",
+    "geometry.Point.y": "view of the parts",
+    "geometry.Line.value_at": "public value: a*x + b*y + c at a point",
+    "geometry._view": "view of a Line's triple: a, b and c",
+}
+
+
+def _fraction_builders(tree: ast.AST, module: str) -> set[str]:
+    """Scopes whose code calls ``Fraction`` or ``fractions.Fraction``."""
+    return _scopes(tree, module, lambda node: (
+        isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else
+             getattr(node.func, "attr", None)) == "Fraction"))
+
+
+def test_each_fraction_built_has_a_reason():
+    """The library builds a Fraction only where a public value needs
+    one, and each entry of FRACTION_BUILDERS is still such a place."""
+    assert sorted(_src_scopes(_fraction_builders)) == sorted(FRACTION_BUILDERS)
+
+
+def test_fraction_lint_finds_each_scope():
+    source = ("from fractions import Fraction\n"
+              "ONE = Fraction(1)\n"
+              "class C:\n    @property\n    def v(self):\n"
+              "        return Fraction(*self.pair)\n"
+              "    w = property(lambda self: Fraction(2))\n"
+              "def f(x):\n    return fractions.Fraction(x), x / 2\n"
+              "def g(p, q):\n    return Fraction(p, q)\n")
+    assert _fraction_builders(ast.parse(source), "mod") == {
+        "mod", "mod.C.v", "mod.C", "mod.f", "mod.g"}
 
 
 # Exports no polyceva module uses, each with the reason it stays.
