@@ -152,7 +152,9 @@ class Factor(Frozen):
 
 
 class ProductReport(Frozen):
-    """Factored product with its expected value and the exact verdict."""
+    """The factors' product against ``expected``, decided by cross-
+    multiplying its integer pair; a product that differs is reduced
+    once, for output."""
 
     _fields = ("factors", "product", "expected", "holds")
     factors: tuple[Factor, ...]
@@ -160,15 +162,11 @@ class ProductReport(Frozen):
     expected: Fraction
     holds: bool
 
-    @staticmethod
-    def from_factors(factors: Sequence[Factor], expected: Fraction) -> "ProductReport":
-        """The report on the factors' product, decided by cross-multiplying
-        its integer pair with ``expected``; a product that differs is
-        reduced once, for output."""
+    def __init__(self, factors: Sequence[Factor], expected: Fraction):
         num, den = factor_product(factors)
         holds = num * expected.denominator == expected.numerator * den
         product = expected if holds else Fraction(num, den)
-        return ProductReport(tuple(factors), product, expected, holds)
+        Frozen.__init__(self, tuple(factors), product, expected, holds)
 
 
 def factor_product(factors: Sequence[Factor]) -> tuple[int, int]:
@@ -285,7 +283,7 @@ def ceva_product(cfg: CevaConfig) -> ProductReport:
 
     Equals (-1)^n exactly for every valid configuration.
     """
-    return ProductReport.from_factors(cfg.factors, PARITY_SIGNS[cfg.n % 2])
+    return ProductReport(cfg.factors, PARITY_SIGNS[cfg.n % 2])
 
 
 def classic_ceva_product(triangle: Sequence[Point], pivot: Point) -> ProductReport:
@@ -307,10 +305,8 @@ def opposite_vertex_product(polygon: Sequence[Point], pivot: Point) -> ProductRe
     n = len(polygon)
     if n % 2 == 0:
         raise InvariantViolation(f"needs an odd number of vertices, got {n}")
-    report = ceva_product(CevaConfig(tuple(polygon), pivot, (n - 1) // 2, 1))
-    by_side = sorted(report.factors, key=lambda f: f.j)
-    return ProductReport(tuple(by_side), report.product, report.expected,
-                         report.holds)
+    cfg = CevaConfig(tuple(polygon), pivot, (n - 1) // 2, 1)
+    return ProductReport(sorted(cfg.factors, key=lambda f: f.j), PARITY_SIGNS[1])
 
 
 def all_sides_product(polygon: Sequence[Point], pivot: Point) -> ProductReport:
@@ -370,8 +366,8 @@ def build_converse_counterexample(pentagon: Sequence[Point],
 
     # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot
     # (or the ratio degenerates); then 2/K with the compensating -1/2.
-    for branch, r1, r2 in (("1/K", 1 / k_value, Fraction(-1)),
-                           ("2/K", 2 / k_value, Fraction(-1, 2))):
+    for branch, scale in (("1/K", 1), ("2/K", 2)):
+        r1 = scale / k_value
         if r1 == 1:
             continue
         m1 = point_from_ratio(a1, a2, r1)
@@ -384,6 +380,7 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         raise DegenerateConfig(
             DegenerateConfig.HITS_VERTEX, detail="both ratio branches degenerate")
 
+    r2 = Fraction(-1, scale)
     m2 = point_from_ratio(a2, a3, r2)
     if m2.triple == a5.triple:
         raise DegenerateConfig(

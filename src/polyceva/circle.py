@@ -310,29 +310,38 @@ def chord_telescoping_squared(cfg: InscribedConfig) -> Fraction:
 
 
 class InscribedReport(Frozen):
-    """Both sides of the squared identity for ``config`` plus the raw
-    signed product ``lhs``, and ``expected``, the value that pins lhs, or
-    None if none.  ``factors`` are the config's.  lhs, lhs_squared and
-    rhs_squared, each given as a Fraction or an integer pair, are kept
-    as ``parts``, their three reduced pairs, and read as Fraction views."""
+    """The squared identity on ``config``: the raw signed product ``lhs``
+    squared against the chord product ``rhs_squared``, and ``expected``,
+    the value that pins lhs (rhs_squared then 1), or None if none.
+    ``factors`` are the config's.  ``parts`` holds the reduced pairs of
+    lhs and rhs_squared, which decide ``holds``; the fields are Fraction
+    views, lhs_squared of lhs's pair squared, which is never reduced."""
 
     _fields = ("config", "lhs", "lhs_squared", "rhs_squared", "holds",
                "expected")
     config: InscribedConfig
-    parts: tuple[Pair, Pair, Pair]
+    parts: tuple[Pair, Pair]
     holds: bool
     expected: Fraction | None
 
-    def __init__(self, config: InscribedConfig, lhs: Fraction | Pair,
-                 lhs_squared: Fraction | Pair, rhs_squared: Fraction | Pair,
-                 holds: bool, expected: Fraction | None):
-        self.__dict__.update(config=config, parts=(
-            _reduced(lhs), _reduced(lhs_squared), _reduced(rhs_squared)),
-            holds=holds, expected=expected)
+    def __init__(self, config: InscribedConfig, expected: Fraction | None):
+        lhs = _reduced(factor_product(config.factors))
+        rhs = inscribed_chord_product_squared(config)
+        rhs_squared = rhs.numerator, rhs.denominator
+        num, den = lhs
+        holds = (num * num, den * den) == rhs_squared
+        if expected is not None:
+            holds = (holds and rhs_squared == (1, 1)
+                     and lhs == (expected.numerator, expected.denominator))
+        self.__dict__.update(config=config, parts=(lhs, rhs_squared),
+                             holds=holds, expected=expected)
 
     lhs = _view(0)
-    lhs_squared = _view(1)
-    rhs_squared = _view(2)
+    rhs_squared = _view(1)
+
+    @property
+    def lhs_squared(self) -> Fraction:
+        return Fraction(*self.parts[0]) ** 2
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -341,7 +350,7 @@ class InscribedReport(Frozen):
 
 def inscribed_identity_report(cfg: InscribedConfig) -> InscribedReport:
     """Verify lhs^2 = rhs^2 exactly for an inscribed configuration."""
-    return _identity_report(cfg, None)
+    return InscribedReport(cfg, None)
 
 
 def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
@@ -353,19 +362,4 @@ def concurrent_secants_check(cfg: InscribedConfig) -> InscribedReport:
     """
     if cfg.common_point is None:
         raise ValueError("vertex lines do not share one common point")
-    return _identity_report(cfg, PARITY_SIGNS[cfg.n % 2])
-
-
-def _identity_report(cfg: InscribedConfig,
-                     expected: Fraction | None) -> InscribedReport:
-    """The report on cfg, lhs pinned to ``expected`` unless it is None,
-    decided by cross-multiplying integer pairs."""
-    num, den = factor_product(cfg.factors)
-    rhs_squared = inscribed_chord_product_squared(cfg)
-    c, d = rhs_squared.numerator, rhs_squared.denominator
-    holds = num * num * d == c * den * den
-    if expected is not None:
-        holds = (holds and c == d
-                 and num * expected.denominator == expected.numerator * den)
-    return InscribedReport(cfg, (num, den), (num * num, den * den),
-                           rhs_squared, holds, expected)
+    return InscribedReport(cfg, PARITY_SIGNS[cfg.n % 2])

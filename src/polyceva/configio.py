@@ -313,19 +313,19 @@ def ceva_run_report(cfg: CevaConfig, report: ProductReport) -> dict:
 
 def inscribed_run_report(report: InscribedReport) -> dict:
     cfg = report.config
-    lhs, lhs_squared, rhs_squared = report.parts
+    (num, den), rhs_squared = report.parts
     return {
         "kind": "inscribed",
         "n": cfg.n,
         "s": cfg.s,
         "t": cfg.t,
         "factors": report.factors,
-        "product": rational_text(*lhs),
+        "product": rational_text(num, den),
         "expected": (None if report.expected is None
                      else format_rational(report.expected)),
         "holds": report.holds,
         "diagnostics": {
-            "lhs_squared": rational_text(*lhs_squared),
+            "lhs_squared": rational_text(num * num, den * den),
             "rhs_squared": rational_text(*rhs_squared),
             "second_circle_points": [point_to_json(p) for p in cfg.m_primes],
         },

@@ -14,7 +14,8 @@ and store integers in place of their Fraction fields: ``Point`` its
 reduced integer parts and its homogeneous triple, ``Line`` its
 canonical integer triple, ``Factor`` its value as the pair ``num``/``den``,
 ``InscribedConfig`` its radius, parameters and second parameters, and
-``InscribedReport`` its three values, as reduced pairs in ``parts``.
+``InscribedReport`` its lhs and squared chord product, as reduced pairs
+in ``parts``.
 Each reads its Fraction fields through properties, which build the
 Fraction on each read.  ``repr``,
 ``==`` and ``hash`` use exactly the fields, so stored results are left

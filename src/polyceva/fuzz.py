@@ -243,7 +243,8 @@ def _inscribed_checks(cfg: InscribedConfig):
     else:
         result = inscribed_identity_report(cfg)
     # The report's values are compared and written as their reduced pairs.
-    lhs, lhs_squared, rhs_squared = result.parts
+    (num, den), rhs_squared = result.parts
+    lhs_squared = num * num, den * den
     if lhs_squared != rhs_squared:
         yield ("squared_identity", rational_text(*rhs_squared),
                rational_text(*lhs_squared))
@@ -254,10 +255,10 @@ def _inscribed_checks(cfg: InscribedConfig):
         if not similar_triangles_relation(cfg, i):
             yield f"similar_triangles[{i}]", "equal", "unequal"
     expected = result.expected
-    if concurrent and (rhs_squared != (1, 1) or lhs != (
+    if concurrent and (rhs_squared != (1, 1) or (num, den) != (
             expected.numerator, expected.denominator)):
         yield ("concurrent_sign", f"{format_rational(expected)} and 1",
-               f"{rational_text(*lhs)} and {rational_text(*rhs_squared)}")
+               f"{rational_text(num, den)} and {rational_text(*rhs_squared)}")
 
 
 def _fuzz(kind: str, params: GenParams, trials: int, build, checks,

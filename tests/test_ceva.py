@@ -173,7 +173,7 @@ class TestFactorProduct:
     def test_matches_fraction_product(self, factors, other, pin):
         exact = fraction_product(factors)
         expected = exact if pin else other
-        report = ProductReport.from_factors(factors, expected)
+        report = ProductReport(factors, expected)
         assert report.holds == (exact == expected)
         assert type(report.product) is F and report.product == exact
         assert report.factors == tuple(factors)
@@ -711,16 +711,17 @@ class TestCounterexample:
 
     def test_fractions_built_are_its_fields(self):
         """On the reference pentagon, the builder makes only the
-        Fractions of its public fields: K, the branches' two ratio pairs,
-        the three genuine ratios (once as fields, once for their meet
-        points) and the product's two multiplications.  Its Point and
-        Line work builds none."""
+        Fractions of its public fields: K, the two ratios of the branch
+        it takes, built only when that branch is tried, the three genuine
+        ratios (once as fields, once for their meet points) and the
+        product's two multiplications.  Its Point and Line work builds
+        none."""
         with open(ROOT / "configs" / "pentagon_counterexample.json") as f:
             cfg = parse_config(f.read())
         with _fractions_built() as built:
             result = build_converse_counterexample(cfg.vertices, cfg.pivot)
         assert result.holds
-        assert built[0] <= 13
+        assert built[0] <= 11
 
     def test_line_functions_build_no_fraction(self):
         pivot = pt(2, 2)

@@ -1,6 +1,7 @@
 """Engine tests for inscribed polygons: parametrized circle points,
 second circle points, and the squared product identity."""
 
+import math
 import sys
 from fractions import Fraction as F
 from unittest import mock
@@ -475,17 +476,14 @@ class TestPairConstruction:
                            match="^rational denominators must be positive"):
             InscribedConfig(radius, params, specs, 1, 1)
 
-    def test_report_pair_denominators_must_be_positive(self):
-        with pytest.raises(ValueError):
-            InscribedReport(pentagon_config(), (1, 0), F(1), F(1), True, None)
-
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-string limit before Python 3.11")
     @settings(max_examples=12, deadline=None)
     @given(st.data())
     def test_report_matches_fraction_formulas(self, data):
         """At the lowest int-string limit, with 1000-digit parts, each
-        report field is the Fraction formula of the previous report."""
+        report field is its Fraction formula, and the verdict is that of
+        the report's own fields."""
         num = st.integers(-(10 ** 1000 - 1), 10 ** 1000 - 1)
         den = st.integers(1, 10 ** 1000 - 1)
         big = st.builds(F, num, den)
@@ -512,6 +510,7 @@ class TestPairConstruction:
                                        "inscribed_chord_product_squared",
                                        lambda cfg: scale * chords(cfg)):
                     report = check(cfg)
+                    assert report == InscribedReport(cfg, expected)
                 lhs = F(*factor_product(cfg.factors))
                 lhs_squared = lhs * lhs
                 rhs_squared = scale * chords(cfg)
@@ -521,12 +520,16 @@ class TestPairConstruction:
                 assert (report.lhs, report.lhs_squared, report.rhs_squared) == \
                     (lhs, lhs_squared, rhs_squared)
                 assert report.parts == tuple(
-                    (v.numerator, v.denominator)
-                    for v in (lhs, lhs_squared, rhs_squared))
+                    (v.numerator, v.denominator) for v in (lhs, rhs_squared))
+                assert math.gcd(*report.parts[0]) == 1
                 assert report.holds is holds is (scale == 1)
+                # The verdict agrees with the report's own values.
+                own = report.lhs_squared == report.rhs_squared
+                if expected is not None:
+                    own = (own and report.lhs == expected
+                           and report.rhs_squared == 1)
+                assert report.holds is own
                 assert report.expected == expected
-                assert report == InscribedReport(cfg, lhs, lhs_squared,
-                                                 rhs_squared, holds, expected)
                 assert repr(report).count("Fraction(") >= 3
         finally:
             sys.set_int_max_str_digits(limit)

@@ -225,7 +225,7 @@ class TestVerify:
         # Unreachable with real geometry; force a bad report to pin the
         # exit-code contract.
         def broken(cfg):
-            return ProductReport((Factor(1, 2, F(1)),), F(1), F(-1), False)
+            return ProductReport((Factor(1, 2, F(1)),), F(-1))
         monkeypatch.setattr(cli, "ceva_product", broken)
         code, out, _ = run_cli(capsys, "verify", str(TRIANGLE))
         assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import polyceva.circle
 import polyceva.fuzz
 from polyceva.ceva import MAX_VERTICES, CevaConfig, ProductReport
-from polyceva.circle import InscribedConfig, InscribedReport
+from polyceva.circle import InscribedConfig
 from polyceva.errors import GenerationExhausted
 from polyceva.fuzz import (
     MAX_BOUND,
@@ -246,8 +246,7 @@ class TestFailureRecords:
         chords = polyceva.circle.inscribed_chord_product_squared
         monkeypatch.setattr(
             polyceva.fuzz, "ceva_product",
-            lambda cfg: ProductReport.from_factors(cfg.factors[1:],
-                                                   Fraction(-1) ** cfg.n))
+            lambda cfg: ProductReport(cfg.factors[1:], Fraction(-1) ** cfg.n))
         monkeypatch.setattr(polyceva.circle, "inscribed_chord_product_squared",
                             lambda cfg: 4 * chords(cfg))
         monkeypatch.setattr(polyceva.fuzz, "chord_telescoping_squared",
@@ -275,15 +274,19 @@ class TestFailureRecords:
                      ("concurrent_sign", "-1 and 1", "-1 and 4"))
 
     def test_concurrent_sign_alone(self, monkeypatch):
-        """A wrong sign with both squared facts intact is one record."""
-        check = polyceva.fuzz.concurrent_secants_check
+        """A wrong sign with both squared facts intact is one record, and
+        fails the report's verdict."""
+        product = polyceva.circle.factor_product
 
-        def negated(cfg):
-            report = check(cfg)
-            return InscribedReport(cfg, -report.lhs, report.lhs_squared,
-                                   report.rhs_squared, False, report.expected)
+        def negated(factors):
+            num, den = product(factors)
+            return -num, den
 
-        monkeypatch.setattr(polyceva.fuzz, "concurrent_secants_check", negated)
+        monkeypatch.setattr(polyceva.circle, "factor_product", negated)
         assert _comparable(fuzz_inscribed(FALSIFIED, 1, concurrent=True)) == \
             _records("concurrent", CONCURRENT_DOC,
                      ("concurrent_sign", "-1 and 1", "1 and 1"))
+        report = polyceva.fuzz.concurrent_secants_check(
+            gen_inscribed_config(FALSIFIED, 0, concurrent=True))
+        assert report.lhs_squared == report.rhs_squared == 1
+        assert report.lhs == 1 and report.holds is False

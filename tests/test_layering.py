@@ -195,13 +195,14 @@ def test_xy_reader_lint_finds_each_scope():
 FRACTION_BUILDERS = {
     "ceva": "public report field: PARITY_SIGNS, ProductReport.expected",
     "ceva.Factor.value": "view of the pair num/den",
-    "ceva.ProductReport.from_factors": "public report field: product of "
-                                       "a failed identity",
+    "ceva.ProductReport.__init__": "public report field: product of "
+                                   "a failed identity",
     "ceva.build_converse_counterexample": "public report field: K and the "
                                           "free ratios",
     "circle._view": "view of a pair in InscribedConfig or InscribedReport",
     "circle.InscribedConfig.params": "view of the parameter pairs",
     "circle.InscribedConfig.line_specs": "view of the second parameters",
+    "circle.InscribedReport.lhs_squared": "view of lhs's pair, squared",
     "circle._chord_ratio_product": "public report field: the chord "
                                    "products, InscribedReport.rhs_squared",
     "geometry.as_rational": "public constructor: an int taken as a rational",

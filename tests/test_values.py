@@ -16,11 +16,11 @@ import pytest
 from polyceva.ceva import (
     CevaConfig,
     Factor,
-    ProductReport,
     build_converse_counterexample,
     ceva_product,
 )
 from polyceva.circle import InscribedConfig, inscribed_identity_report
+from polyceva.configio import CounterexampleInput
 from polyceva.frozen import Frozen
 from polyceva.fuzz import FuzzFailure, FuzzReport, GenParams
 from polyceva.geometry import Line, Point
@@ -140,12 +140,12 @@ def test_point_and_line_reprs_pass_the_int_string_limit():
 
 @pytest.mark.parametrize("values", [
     (),
-    ((), F(1), F(-1)),
-    ((), F(1), F(-1), False, None),
+    ((), Point(0, 0)),
+    ((), Point(0, 0), 7, None),
 ])
 def test_inherited_constructor_takes_one_value_per_field(values):
-    with pytest.raises(TypeError, match="ProductReport takes 4 values"):
-        ProductReport(*values)
+    with pytest.raises(TypeError, match="CounterexampleInput takes 3 values"):
+        CounterexampleInput(*values)
 
 
 @pytest.mark.parametrize("build, stored", [
