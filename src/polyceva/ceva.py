@@ -9,9 +9,10 @@ module computes and checks with exact rational arithmetic.  The n = 3,
 s = t = 1 case is Ceva's classical theorem.  Every ratio, here and in
 the inscribed engine, comes from one area-ratio kernel, `side_factors`.
 
-The converse fails: `build_converse_counterexample` constructs, for any
-pentagon in general position, five cevians whose ratio product is -1
-even though the lines are not concurrent.
+The converse fails: `build_converse_counterexample` constructs, for a
+pentagon in general position with A_4 off line A_1A_2 and A_5 off line
+A_2A_3, five cevians whose ratio product is -1 even though the lines
+are not concurrent.
 """
 
 from __future__ import annotations
@@ -252,8 +253,9 @@ def side_factors(vertices: Sequence[Homogeneous], i: int,
         num = near * w_far
         den = far * w_near
         if num == den:
-            raise DegenerateConfig(DegenerateConfig.PARALLEL, i, j,
-                                   "vertex line is parallel to the side-line")
+            raise DegenerateConfig(
+                DegenerateConfig.PARALLEL, i, j, "vertex line is the side-line"
+                if near == 0 else "vertex line is parallel to the side-line")
         if near == 0 or far == 0:
             raise DegenerateConfig(DegenerateConfig.HITS_VERTEX, i, j,
                                    "crossing lands on a side endpoint")
@@ -275,7 +277,7 @@ def crossing_point(vertices: Sequence[Point], factor: Factor) -> Point:
     """The crossing M_ij on side-line A_j A_{j+1} that a factor measures."""
     j = factor.j
     return point_from_ratio(vertices[j - 1], vertices[j % len(vertices)],
-                            factor.value)
+                            (factor.num, factor.den))
 
 
 def ceva_product(cfg: CevaConfig) -> ProductReport:
@@ -320,7 +322,8 @@ class Counterexample(Frozen):
     """Five cevians of a pentagon with ratio product -1 yet not concurrent.
 
     meet_points[i-1] is M_i on side-line A_i A_{i+1} and ratios[i-1] its
-    signed ratio; cevians[i-1] is the line drawn through vertex A_i.
+    signed ratio; cevians[i-1] is the line drawn through vertex A_i.  No
+    pentagon with A_4 on line A_1A_2 or A_5 on line A_2A_3 has one.
     """
 
     _fields = ("vertices", "pivot", "cevians", "meet_points", "ratios", "K",
@@ -360,19 +363,20 @@ def build_converse_counterexample(pentagon: Sequence[Point],
     a1, a2, a3, a4, a5 = vertices
     triples, m = _polygon_triples(vertices, pivot)
 
-    # The three genuine cevians: vertex i cuts side i + 2.
+    # side_factors gives each ratio, of vertex i's line on side i + 2: the
+    # line through the pivot at vertices 1-3 (the genuine cevians), M_1 at
+    # 4 and M_2 at 5.  It rejects a free cevian that is its side-line.
     genuine = [side_factors(triples, i, m, 2, 1)[0] for i in (1, 2, 3)]
-    k_value = Fraction(*factor_product(genuine))
+    k_num, k_den = factor_product(genuine)
+    k_value = Fraction(k_num, k_den)
 
-    # Branch choice: ratio 1/K unless the resulting A_4 M_1 hits the pivot
-    # (or the ratio degenerates); then 2/K with the compensating -1/2.
+    # Branch choice: ratio 1/K unless it is 1 or the resulting A_4 M_1
+    # hits the pivot; then 2/K with the compensating -1/2.
     for branch, scale in (("1/K", 1), ("2/K", 2)):
-        r1 = scale / k_value
-        if r1 == 1:
+        if scale * k_den == k_num:
             continue
-        m1 = point_from_ratio(a1, a2, r1)
-        if m1.triple == a4.triple:
-            continue
+        m1 = point_from_ratio(a1, a2, (scale * k_den, k_num))
+        free = side_factors(triples, 4, m1.triple, 2, 1)
         line_a4_m1 = line_through(a4, m1)
         if not line_a4_m1.contains(pivot):
             break
@@ -380,17 +384,10 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         raise DegenerateConfig(
             DegenerateConfig.HITS_VERTEX, detail="both ratio branches degenerate")
 
-    r2 = Fraction(-1, scale)
-    m2 = point_from_ratio(a2, a3, r2)
-    if m2.triple == a5.triple:
-        raise DegenerateConfig(
-            DegenerateConfig.HITS_VERTEX,
-            detail="compensating point coincides with vertex 5")
-
+    m2 = point_from_ratio(a2, a3, (-1, scale))
+    free += side_factors(triples, 5, m2.triple, 2, 1)
+    report = ProductReport((*free, *genuine), PARITY_SIGNS[1])
     meet_points = (m1, m2, *(crossing_point(vertices, f) for f in genuine))
-    ratios = (r1, r2, *(f.value for f in genuine))
-    product = r1 * r2 * k_value
-    assert product == -1
 
     # The first three cevians pass through the pivot by construction.
     cevians = (line_through(a1, pivot),
@@ -404,5 +401,6 @@ def build_converse_counterexample(pentagon: Sequence[Point],
         # Of five lines, only a duplicate makes are_concurrent raise.
         raise DegenerateConfig(DegenerateConfig.PARALLEL,
                                detail="two cevians coincide") from exc
-    return Counterexample(vertices, pivot, cevians, meet_points, ratios,
-                          k_value, branch, product, concurrent)
+    return Counterexample(vertices, pivot, cevians, meet_points,
+                          tuple(f.value for f in report.factors), k_value,
+                          branch, report.product, concurrent)

@@ -243,9 +243,11 @@ def homogeneous(p: Point) -> Homogeneous:
     return p.triple
 
 
-def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
+def point_from_ratio(a: Point, b: Point,
+                     ratio: RationalLike | tuple[int, int]) -> Point:
     """The unique X on line AB with (A - X) = ratio * (B - X), the point
-    whose directed ratio XA / XB is ratio.
+    whose directed ratio XA / XB is ratio: a RationalLike, or an integer
+    pair (p, q) for p/q, which builds no Fraction.
 
     Solving (A - X) = r (B - X) gives X = (A - r B) / (1 - r); r = 1 has
     no solution (X escapes to infinity), and A = B leaves only X = B,
@@ -254,13 +256,13 @@ def point_from_ratio(a: Point, b: Point, ratio: RationalLike) -> Point:
     of X is the one integer quotient
     (q u_n v_d - p v_n u_d) / ((q - p) u_d v_d), reduced once.
     """
-    r = as_rational(ratio)
-    if r == 1:
-        raise ValueError("no finite point realizes directed ratio 1")
+    p, q = (ratio if isinstance(ratio, tuple)
+            else as_rational(ratio).as_integer_ratio())
+    if p == q or q == 0:
+        raise ValueError("no finite point realizes directed ratio 1 or p/0")
     if a.triple == b.triple:
         raise ValueError(
             f"ratio point {a} coincides with the denominator end")
-    p, q = r.numerator, r.denominator
     if q < p:
         p, q = -p, -q
     ax_n, ax_d, ay_n, ay_d = a.parts

@@ -17,7 +17,9 @@ M_ij for polyceva.ceva.crossing_point to be checked against.  It shares
 no formula with the area-principle kernel (polyceva.ceva.side_factors),
 which never builds the crossing point, nor its walk over the sides each
 vertex line crosses (sides_crossed here, the kernel's wrapping index
-there).  Circle points come from the half-angle formula in Fractions,
+there).  The failed converse (converse_counterexample) places its free
+points by the ratio formula and meets each line with its side-line the
+same way.  Circle points come from the half-angle formula in Fractions,
 the second circle point M'_i from the secant's direction, and every
 chord ratio from squared distances between those Points;
 polyceva.circle computes all three in integer parameter pairs and
@@ -291,6 +293,51 @@ def ceva_crossings(vertices, pivot, s, t) -> tuple[tuple[Factor, Point], ...]:
 def ceva_factors(vertices, pivot, s, t) -> tuple[Factor, ...]:
     """Factors of a structurally valid polygon-with-pivot draw."""
     return tuple(f for f, _ in ceva_crossings(vertices, pivot, s, t))
+
+
+def converse_counterexample(vertices, pivot):
+    """The failed converse on a structurally valid pentagon, from literal
+    intersections: (branch, K, crossings, concurrent), crossings[k-1]
+    being the (factor, M_k) on side k; or DegenerateConfig with the
+    reason and indices the builder must raise.
+
+    Vertex i's line crosses side i + 2 (mod 5): through the pivot for
+    i = 1, 2, 3, whose ratios multiply to K; through M_1 on line A_1A_2
+    at ratio scale/K for vertex 4, scale 1 unless that ratio is 1 or
+    A_4 M_1 passes through the pivot, then 2; and through M_2 on line
+    A_2A_3 at ratio -1/scale for vertex 5.  A_4 on line A_1A_2 makes
+    every A_4 M_1 that side-line (or no line), and A_5 on line A_2A_3
+    does the same to A_5 M_2.
+    """
+    a1, a2, a3, a4, a5 = vertices
+    genuine = [crossing(vertices, vertices[i - 1], pivot, i, i + 2)
+               for i in (1, 2, 3)]
+    k = math.prod((f.value for f, _ in genuine), start=Fraction(1))
+    if is_collinear(a1, a2, a4):
+        raise DegenerateConfig(DegenerateConfig.PARALLEL, 4, 1)
+    for branch, scale in (("1/K", 1), ("2/K", 2)):
+        if scale == k:
+            continue
+        m1 = ratio_point(a1, a2, scale / k)
+        if not line_through(a4, m1).contains(pivot):
+            break
+    else:
+        raise DegenerateConfig(DegenerateConfig.HITS_VERTEX)
+    if is_collinear(a2, a3, a5):
+        raise DegenerateConfig(DegenerateConfig.PARALLEL, 5, 2)
+    m2 = ratio_point(a2, a3, Fraction(-1, scale))
+    cevians = [*(line_through(v, pivot) for v in (a1, a2, a3)),
+               line_through(a4, m1), line_through(a5, m2)]
+    if len(set(cevians)) < 5:
+        raise DegenerateConfig(DegenerateConfig.PARALLEL)
+    crossings = (crossing(vertices, a4, m1, 4, 1),
+                 crossing(vertices, a5, m2, 5, 2), *genuine)
+    return branch, k, crossings, are_concurrent(cevians)
+
+
+def ratio_point(a: Point, b: Point, r: Fraction) -> Point:
+    """X = (A - r B) / (1 - r), the point with (A - X) = r (B - X)."""
+    return Point((a.x - r * b.x) / (1 - r), (a.y - r * b.y) / (1 - r))
 
 
 def inscribed_crossings(radius, params, specs, s, t):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyceva.errors import DegenerateConfig, InvariantViolation
 from polyceva.ceva import (
@@ -31,7 +31,6 @@ from polyceva.geometry import (
     are_concurrent,
     intersect_lines,
     line_through,
-    point_from_ratio,
 )
 from polyceva.circle import inscribed_identity_report
 from polyceva.configio import ReportEncoder, ceva_run_report, parse_config
@@ -50,8 +49,10 @@ from _exact_oracle import (
     AxisAligned,
     DivisionByZero,
     affine_apply,
+    converse_counterexample,
     crossing,
     directed_ratio,
+    is_collinear,
     line_value_antisymmetry,
     normalized_line_value,
 )
@@ -139,14 +140,17 @@ class TestCevianIntersection:
         # A_1 and the pivot both sit on side-line A_2A_3 (y = x), so the
         # first cevian is that side-line itself.
         pent = (pt(0, 0), pt(1, 1), pt(3, 3), pt(5, 0), pt(-1, 2))
-        with pytest.raises(DegenerateConfig) as err:
+        with pytest.raises(DegenerateConfig,
+                           match="vertex line is the side-line$") as err:
             CevaConfig(pent, pt(2, 2), 1, 3)
         assert err.value.reason == DegenerateConfig.PARALLEL
+        assert (err.value.i, err.value.j) == (1, 2)
 
     def test_parallel_cevian_degenerate(self):
         # Cevian from A_1 through (1,3) is parallel to side A_2A_3.
         quad = (pt(0, 0), pt(4, 0), pt(5, 3), pt(-1, 3))
-        with pytest.raises(DegenerateConfig) as err:
+        with pytest.raises(DegenerateConfig,
+                           match="vertex line is parallel to the side-line$") as err:
             CevaConfig(quad, pt(1, 3), 1, 2)
         assert err.value.reason == DegenerateConfig.PARALLEL
 
@@ -575,6 +579,25 @@ class TestPerCevianTelescoping:
         assert checked > 30
 
 
+small_coords = st.integers(-6, 6)
+
+
+@st.composite
+def converse_cases(draw):
+    """Five distinct small integer vertices and a pivot off them.  Two in
+    five draws then move A_4 onto line A_1A_2 or A_5 onto line A_2A_3."""
+    vertices = [Point(draw(small_coords), draw(small_coords))
+                for _ in range(6)]
+    on_side = draw(st.sampled_from((None, None, None, 4, 5)))
+    if on_side is not None:
+        a, b = vertices[on_side - 4], vertices[on_side - 3]
+        lam = draw(st.fractions(-3, 3, max_denominator=4))
+        vertices[on_side - 1] = Point(a.x + lam * (b.x - a.x),
+                                      a.y + lam * (b.y - a.y))
+    assume(len(set(vertices)) == 6)
+    return vertices[:5], vertices[5]
+
+
 class TestCounterexample:
     def test_reference_pentagon(self):
         result = build_converse_counterexample(PENTAGON, pt(2, 2))
@@ -645,13 +668,16 @@ class TestCounterexample:
         assert result.ratios[:2] == (2, F(-1, 2))
         assert result.holds
 
-    def test_m1_on_vertex_4_skips_the_first_branch(self):
-        # A_4 lies on line A_1A_2 at ratio 1/K, where A_4 M_1 is no line.
+    def test_a4_on_line_a1a2_is_degenerate(self):
+        """A_4 lies on line A_1A_2, at ratio 1/K, where A_4 M_1 is no
+        line; at ratio 2/K, A_4 M_1 is side-line A_1A_2 itself.  So no
+        branch has a fourth cevian, and vertex 4's line is rejected."""
         pent = (pt(5, 3), pt(-3, -5), pt(-1, 3), pt(-1, -3), pt(-5, 1))
-        result = build_converse_counterexample(pent, pt(4, -5))
-        assert point_from_ratio(pent[0], pent[1], 1 / result.K) == pent[3]
-        assert result.branch == "2/K"
-        assert result.holds
+        with pytest.raises(DegenerateConfig,
+                           match="vertex line is the side-line") as info:
+            build_converse_counterexample(pent, pt(4, -5))
+        assert info.value.reason == DegenerateConfig.PARALLEL
+        assert (info.value.i, info.value.j) == (4, 1)
 
     def test_both_branches_degenerate(self):
         pent = (pt(1, -1), pt(4, -3), pt(0, 2), pt(1, 3), pt(0, -2))
@@ -666,22 +692,20 @@ class TestCounterexample:
             build_converse_counterexample(pent, pt(-5, 3))
         assert info.value.reason == DegenerateConfig.PARALLEL
 
-    def test_compensating_point_never_lands_on_vertex_5(self):
-        """M_2 = A_5 needs A_5 on line A_2A_3 at the branch's ratio r2:
-        -1 (1/K branch) or -1/2 (2/K branch).  With A_5 there, K =
-        -[A_2 P A_4] / (r2 [A_1 P A_4]), [.] being signed area and P the
-        pivot, so the branch's r1 = -1/(r2 K) = [A_1 P A_4] / [A_2 P A_4]
-        puts M_1 where line A_4 P meets line A_1A_2.  That branch is
-        always skipped, and the guard cannot fire."""
+    def test_a5_on_line_a2a3_is_degenerate(self):
+        """A_5 on line A_2A_3 makes A_5 M_2 that side-line, whichever
+        branch is taken; at the branch ratio r2 (-1, or -1/2) it would be
+        no line at all, as M_2 = A_5.  Either way vertex 5's line is
+        rejected."""
         quad = PENTAGON[:4]
         midpoint, third = Point(F(9, 2), F(3, 2)), Point(F(13, 3), F(1))
-        for a_5, skipped, r1 in ((midpoint, "1/K", 1), (third, "2/K", 2)):
+        for a_5 in (midpoint, third, pt(3, -3)):
             for pivot in (pt(1, 3), pt(3, 1)):
-                result = build_converse_counterexample((*quad, a_5), pivot)
-                assert result.branch != skipped
-                assert result.meet_points[1] != a_5
-                m1 = point_from_ratio(quad[0], quad[1], r1 / result.K)
-                assert line_through(quad[3], m1).contains(pivot)
+                with pytest.raises(DegenerateConfig,
+                                   match="vertex line is the side-line") as info:
+                    build_converse_counterexample((*quad, a_5), pivot)
+                assert info.value.reason == DegenerateConfig.PARALLEL
+                assert (info.value.i, info.value.j) == (5, 2)
 
     def test_degenerate_pentagon(self):
         # Pivot collinear with A_1 and A_3 puts the first foot on a vertex.
@@ -709,19 +733,51 @@ class TestCounterexample:
             built += 1
         assert built >= 15
 
+    @settings(max_examples=300, deadline=None)
+    @given(converse_cases())
+    @example(([pt(5, 3), pt(-3, -5), pt(-1, 3), pt(-1, -3), pt(-5, 1)],
+              pt(4, -5)))
+    @example(([Point(F(-19, 4), F(-33, 5)), pt(-34, 1), Point(F(7, 3), F(1)),
+               Point(F(-19), F(43, 5)), pt(16, 1)], Point(F(47, 6), F(0))))
+    @example((list(PENTAGON), pt(2, 2)))
+    def test_ratios_are_literal_crossings(self, case):
+        """The builder raises exactly where the oracle, meeting each line
+        with its side-line, finds no counterexample, with the same reason
+        and indices: always when A_4 is on line A_1A_2 or A_5 on line
+        A_2A_3.  Otherwise each of its ratios and meet points is the
+        oracle's, the product is -1 and the cevians are not concurrent."""
+        vertices, pivot = case
+        a1, a2, a3, a4, a5 = vertices
+        on_side_line = is_collinear(a1, a2, a4) or is_collinear(a2, a3, a5)
+        try:
+            branch, k, crossings, concurrent = converse_counterexample(
+                vertices, pivot)
+        except DegenerateConfig as exc:
+            with pytest.raises(DegenerateConfig) as info:
+                build_converse_counterexample(vertices, pivot)
+            assert ((info.value.reason, info.value.i, info.value.j)
+                    == (exc.reason, exc.i, exc.j))
+            return
+        assert not on_side_line
+        result = build_converse_counterexample(vertices, pivot)
+        assert (result.branch, result.K) == (branch, k)
+        assert result.ratios == tuple(f.value for f, _ in crossings)
+        assert result.meet_points == tuple(m for _, m in crossings)
+        assert math.prod(result.ratios) == result.product == -1
+        assert result.concurrent is concurrent is False
+
     def test_fractions_built_are_its_fields(self):
         """On the reference pentagon, the builder makes only the
-        Fractions of its public fields: K, the two ratios of the branch
-        it takes, built only when that branch is tried, the three genuine
-        ratios (once as fields, once for their meet points) and the
-        product's two multiplications.  Its Point and Line work builds
-        none."""
+        Fractions of its public fields: K and the five ratios.  The
+        kernel's factors, their product and verdict, the free points at
+        ratio scale/K and -1/scale, the meet points, and the Point and
+        Line work build none."""
         with open(ROOT / "configs" / "pentagon_counterexample.json") as f:
             cfg = parse_config(f.read())
         with _fractions_built() as built:
             result = build_converse_counterexample(cfg.vertices, cfg.pivot)
         assert result.holds
-        assert built[0] <= 11
+        assert built[0] == 6
 
     def test_line_functions_build_no_fraction(self):
         pivot = pt(2, 2)

@@ -347,9 +347,21 @@ class TestPointFromRatio:
         x = point_from_ratio(a, b, ratio)
         assert directed_ratio(x, a, b) == ratio
 
+    @given(points, points, st.integers(-50, 50), st.integers(-50, 50))
+    def test_integer_pair_is_its_ratio(self, a, b, p, q):
+        """A pair (p, q), in any signs and not reduced, is the ratio p/q."""
+        if a == b or q == 0 or p == q:
+            return
+        assert point_from_ratio(a, b, (p, q)) == point_from_ratio(a, b, F(p, q))
+
     def test_ratio_one_impossible(self):
         with pytest.raises(ValueError):
             point_from_ratio(pt(0, 0), pt(1, 0), 1)
+
+    @pytest.mark.parametrize("pair", [(3, 3), (-2, -2), (5, 0), (0, 0)])
+    def test_pair_of_ratio_one_or_den_zero_raises(self, pair):
+        with pytest.raises(ValueError, match="ratio 1 or p/0"):
+            point_from_ratio(pt(0, 0), pt(1, 0), pair)
 
     def test_coincident_ends_raise(self):
         with pytest.raises(ValueError, match="coincides with the denominator end"):

@@ -197,8 +197,8 @@ FRACTION_BUILDERS = {
     "ceva.Factor.value": "view of the pair num/den",
     "ceva.ProductReport.__init__": "public report field: product of "
                                    "a failed identity",
-    "ceva.build_converse_counterexample": "public report field: K and the "
-                                          "free ratios",
+    "ceva.build_converse_counterexample": "public report field: K only; "
+                                          "its ratios are Factor views",
     "circle._view": "view of a pair in InscribedConfig or InscribedReport",
     "circle.InscribedConfig.params": "view of the parameter pairs",
     "circle.InscribedConfig.line_specs": "view of the second parameters",
